@@ -35,12 +35,12 @@ from .codebook import (
 from .config import ExperimentConfig, load_config, parse_config_text
 from .surrogate import (
     GpModel,
+    KernelTables,
     ObservationHistory,
     TpeModel,
     gp_fit,
     gp_posterior,
-    rbf_kernel,
-    tpe_density,
+    kernel_tables,
     tpe_fit,
 )
 from .tracker import Method, MobilityState, SlotResult, TrackerConfig, TrackingScenario, mobility_step, run_episode, track_slot

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .surrogate import GpModel, ObservationHistory, TpeModel, gp_posterior, tpe_density
+from .surrogate import GpModel, ObservationHistory, TpeModel, gp_posterior
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -74,33 +74,21 @@ def _density_ratio(l_x: np.ndarray, g_x: np.ndarray) -> np.ndarray:
     return np.where(l_x > 0, ratio, 0.0)
 
 
-def select_next(candidates: np.ndarray, model, history: ObservationHistory) -> np.ndarray:
-    """Highest-acquisition unmeasured candidate (first one on ties).
+def select_next(model, history: ObservationHistory) -> int:
+    """Index of the highest-acquisition unmeasured cell (lowest index on ties).
 
     GP models use expected improvement against the best observed value; TPE
     models use the density-ratio score.  Raises CandidatesExhausted once the
-    history covers every candidate.
+    history covers every cell.
     """
-    cands = np.asarray(candidates, dtype=float).reshape(-1, 2)
-    measured = history.points()
-    if measured.shape[0]:
-        keep = ~(cands[:, None, :] == measured[None, :, :]).all(axis=-1).any(axis=1)
-        remaining = cands[keep]
-    else:
-        keep = None
-        remaining = cands
-    if remaining.shape[0] == 0:
+    remaining = np.flatnonzero(~history.seen)
+    if remaining.size == 0:
         raise CandidatesExhausted("all candidates measured")
     if isinstance(model, GpModel):
         mean, var = gp_posterior(model, remaining)
-        scores = expected_improvement(mean, var, y_star=float(model.y_train.min()))
+        scores = expected_improvement(mean, var, y_star=float(history.values().min()))
     elif isinstance(model, TpeModel):
-        if cands.shape == model.candidates.shape and np.array_equal(cands, model.candidates):
-            l = model.cand_l if keep is None else model.cand_l[keep]
-            g = model.cand_g if keep is None else model.cand_g[keep]
-        else:
-            l, g = tpe_density(model, remaining)
-        scores = _density_ratio(np.asarray(l, float), np.asarray(g, float))
+        scores = _density_ratio(model.l[remaining], model.g[remaining])
     else:
         raise TypeError(f"unsupported surrogate model: {type(model).__name__}")
-    return remaining[int(np.argmax(scores))]
+    return int(remaining[np.argmax(scores)])

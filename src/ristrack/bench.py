@@ -14,7 +14,7 @@ from .blas import single_threaded_blas
 from .channel import lin_to_db, uniform_transmit_signal
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import Method, SlotResult, TrackerConfig, TrackingScenario, run_episode
+from .tracker import Method, SlotResult, TrackingScenario, run_episode
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -76,17 +76,7 @@ def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
 def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
              eta: float, speed: int) -> list[SlotResult]:
     """All slot results for one table cell: `epochs` independent episodes."""
-    tracker_config = TrackerConfig(
-        method=method,
-        overhead=eta,
-        total_slots=config.total_slots,
-        warm_start=config.warm_start,
-        measure_with_noise=config.measure_with_noise,
-        gamma=config.tpe_gamma,
-        kde_bandwidth=config.kde_bandwidth,
-        length_scale=config.gp_length_scale,
-        collect_timing=config.collect_timing,
-    )
+    tracker_config = config.tracker(method, eta)
     results: list[SlotResult] = []
     for epoch in range(config.epochs):
         rng = episode_rng(config.master_seed, epoch)

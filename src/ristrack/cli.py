@@ -18,13 +18,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bench, validate as validate_mod
 from .blas import single_threaded_blas
 from .codebook import write_codebook
 from .config import DEFAULT_CONFIG_TEXT, ExperimentConfig, load_config
-from .tracker import Method, TrackerConfig, run_episode
+from .tracker import Method, run_episode
 
 OUTPUT_DIR_ENV = "RISTRACK_OUTPUT_DIR"
 
@@ -73,17 +71,7 @@ def _cmd_trace(args) -> int:
     config = _load(args)
     out = _output_dir(args, config)
     scenario = bench.scenario_from_config(config)
-    tracker_config = TrackerConfig(
-        method=Method(args.method),
-        overhead=args.overhead,
-        total_slots=config.total_slots,
-        warm_start=config.warm_start,
-        measure_with_noise=config.measure_with_noise,
-        gamma=config.tpe_gamma,
-        kde_bandwidth=config.kde_bandwidth,
-        length_scale=config.gp_length_scale,
-        collect_timing=config.collect_timing,
-    )
+    tracker_config = config.tracker(Method(args.method), args.overhead)
     rng = bench.episode_rng(config.master_seed, args.epoch)
     with single_threaded_blas():  # as in bench.run_matrix
         episode = run_episode(scenario, tracker_config, args.speed, rng)

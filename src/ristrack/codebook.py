@@ -131,11 +131,6 @@ class GridMap:
     def cell_centers(self) -> np.ndarray:
         return np.array([self.cell_center(k).as_array() for k in range(self.num_cells)])
 
-    def grid_points(self) -> np.ndarray:
-        """(num_cells, 2) float (row, col) coordinates, the surrogate domain."""
-        idx = np.arange(self.num_cells)
-        return np.stack([idx // self.cols, idx % self.cols], axis=1).astype(float)
-
 
 @dataclass
 class Codebook:

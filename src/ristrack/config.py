@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .channel import LIGHT_SPEED, ChannelModel, SceneConfig, Vec3
 from .codebook import GridMap, RisGeometry
-from .tracker import Method
+from .tracker import Method, TrackerConfig
 
 DEFAULT_METHODS = (Method.ERGODIC, Method.RANDOM, Method.GP_EI, Method.TPE_EI)
 DEFAULT_OVERHEADS = (0.2, 0.4, 0.6)
@@ -47,6 +47,20 @@ class ExperimentConfig:
             raise ValueError("epochs must be >= 1")
         if not all(0.0 < eta <= 1.0 for eta in self.overheads):
             raise ValueError("every overhead must be in (0, 1]")
+
+    def tracker(self, method: Method, eta: float) -> TrackerConfig:
+        """Per-slot search settings of one (method, overhead) cell of this run."""
+        return TrackerConfig(
+            method=method,
+            overhead=eta,
+            total_slots=self.total_slots,
+            warm_start=self.warm_start,
+            measure_with_noise=self.measure_with_noise,
+            gamma=self.tpe_gamma,
+            kde_bandwidth=self.kde_bandwidth,
+            length_scale=self.gp_length_scale,
+            collect_timing=self.collect_timing,
+        )
 
 
 DEFAULT_CONFIG_TEXT = """\

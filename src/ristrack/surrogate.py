@@ -2,23 +2,27 @@
 
 Two surrogates drive the beam search: a zero-mean Gaussian process with an
 RBF kernel, and a two-density Parzen estimator that splits the history at a
-quantile threshold.  Both operate on (row, col) grid coordinates and on
+quantile threshold.  Both work on integer cell indices (row-major) and on
 minimization-oriented objective values: the tracking loop feeds them negated
 dB power, so lower is always better here.
+
+The domain is a fixed grid and the kernel hyperparameters are fixed per run,
+so every kernel value either model needs comes from `KernelTables`, built
+once per (grid shape, length scale, bandwidth).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 from scipy.spatial.distance import cdist
 
 DEFAULT_LENGTH_SCALE = 2.0   # grid units
 DEFAULT_GAMMA = 0.25
-DEFAULT_BANDWIDTH = 1.0      # grid units per dimension
+DEFAULT_BANDWIDTH = 1.0      # grid units
 JITTER_SCALE = 1e-6
 
 
@@ -27,215 +31,201 @@ class GpConditioningError(RuntimeError):
 
 
 class DuplicatePointError(ValueError):
-    """A grid point was measured twice within one slot's history."""
+    """A grid cell was measured twice within one slot's history."""
 
 
-def grid_candidates(rows: int = 10, cols: int = 10) -> np.ndarray:
-    """(rows*cols, 2) float (row, col) points in row-major order."""
+@dataclass(frozen=True, eq=False)
+class KernelTables:
+    """Read-only per-grid tables: cell coordinates and both kernels on all cell pairs."""
+
+    coords: np.ndarray   # (N, 2) float (row, col) of each cell, row-major
+    corr: np.ndarray     # (N, N) RBF correlation exp(-|a-b|^2 / length_scale^2)
+    parzen: np.ndarray   # (N, N) Parzen kernel exp(-|a-b|^2 / (2 bandwidth^2))
+
+    @property
+    def num_cells(self) -> int:
+        return self.coords.shape[0]
+
+
+@functools.lru_cache(maxsize=16)
+def kernel_tables(rows: int, cols: int, length_scale: float = DEFAULT_LENGTH_SCALE,
+                  bandwidth: float = DEFAULT_BANDWIDTH) -> KernelTables:
+    """Tables for a rows x cols grid, cached: callers share one read-only copy."""
+    if rows < 1 or cols < 1:
+        raise ValueError("grid needs at least one cell")
+    if length_scale <= 0 or bandwidth <= 0:
+        raise ValueError("length scale and bandwidth must be positive")
     idx = np.arange(rows * cols)
-    return np.stack([idx // cols, idx % cols], axis=1).astype(float)
+    coords = np.stack([idx // cols, idx % cols], axis=1).astype(float)
+    corr = np.exp(-cdist(coords, coords, "sqeuclidean") / length_scale ** 2)
+    scaled = coords / bandwidth
+    parzen = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
+    for table in (coords, corr, parzen):
+        table.flags.writeable = False
+    return KernelTables(coords=coords, corr=corr, parzen=parzen)
 
 
 class ObservationHistory:
-    """Chronological (point, value) record of one slot's measurements."""
+    """Chronological (cell, value) record of one slot's measurements."""
 
-    def __init__(self):
-        self._points: list[tuple[float, float]] = []
-        self._values: list[float] = []
-        self._seen: set[tuple[float, float]] = set()
+    def __init__(self, num_cells: int):
+        self._cells = np.empty(num_cells, dtype=np.intp)
+        self._values = np.empty(num_cells, dtype=float)
+        self.seen = np.zeros(num_cells, dtype=bool)
+        self._n = 0
 
-    def add(self, point, value: float) -> None:
-        key = (float(point[0]), float(point[1]))
-        if key in self._seen:
-            raise DuplicatePointError(f"point {key} already measured this slot")
-        self._seen.add(key)
-        self._points.append(key)
-        self._values.append(float(value))
+    def add(self, cell: int, value: float) -> None:
+        if self.seen[cell]:
+            raise DuplicatePointError(f"cell {cell} already measured this slot")
+        self.seen[cell] = True
+        self._cells[self._n] = cell
+        self._values[self._n] = value
+        self._n += 1
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._n
 
-    def __contains__(self, point) -> bool:
-        return (float(point[0]), float(point[1])) in self._seen
-
-    def points(self) -> np.ndarray:
-        return np.asarray(self._points, dtype=float).reshape(len(self._points), 2)
+    def cells(self) -> np.ndarray:
+        return self._cells[:self._n]
 
     def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
+        return self._values[:self._n]
 
 
-def rbf_kernel(a, b, theta: tuple[float, float]) -> float:
-    """theta1 * exp(-||a-b||^2 / theta2^2) on grid coordinates."""
-    theta1, theta2 = theta
-    if theta1 <= 0 or theta2 <= 0:
-        raise ValueError("kernel hyperparameters must be positive")
-    delta = float(np.sum((np.asarray(a, float) - np.asarray(b, float)) ** 2))
-    return theta1 * math.exp(-delta / theta2 ** 2)
-
-
-def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, theta1: float, theta2: float) -> np.ndarray:
-    return theta1 * np.exp(-cdist(xa, xb, "sqeuclidean") / theta2 ** 2)
-
-
-@dataclass
+@dataclass(eq=False)
 class GpModel:
-    """Fitted zero-mean GP: training snapshot plus Cholesky factor of K + jitter*I."""
+    """Zero-mean GP with kernel theta1 * (corr + 1e-6 I) on the measured cells S.
 
-    theta1: float
-    theta2: float
-    jitter: float
-    x_train: np.ndarray
-    y_train: np.ndarray
-    chol: tuple = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
-
-
-def gp_fit(history: ObservationHistory, theta: tuple[float, float] | None = None,
-           jitter: float | None = None, length_scale: float = DEFAULT_LENGTH_SCALE) -> GpModel:
-    """Fit the GP to a slot history.
-
-    Default hyperparameters: theta1 = empirical variance of the observed
-    values (refit on every call), theta2 = `length_scale` grid units,
-    jitter = 1e-6*theta1.  An explicit `theta` pair overrides both.
-    Raises GpConditioningError if the kernel matrix cannot be factorized.
+    With jitter proportional to theta1 the posterior mean does not depend on
+    theta1 and the variance is theta1 times a theta1-free term, so the factor
+    of the correlation part is grown one row per measurement (GPML Alg. 2.1):
+    chol = L with L L^T = corr[S, S] + 1e-6 I, w = L^-1 corr[S, :],
+    beta = L^-1 y and w_sq = the column sums of w**2.  Only the first n rows
+    are in use.
     """
-    if len(history) == 0:
+
+    tables: KernelTables = field(repr=False)
+    theta1: float = field(default=0.0, init=False)
+    n: int = field(default=0, init=False)
+    chol: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
+    beta: np.ndarray = field(init=False, repr=False)
+    w_sq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = self.tables.num_cells
+        self.chol = np.zeros((size, size))
+        self.w = np.empty((size, size))
+        self.beta = np.empty(size)
+        self.w_sq = np.zeros(size)
+
+    @property
+    def jitter(self) -> float:
+        return JITTER_SCALE * self.theta1
+
+    def _append(self, cell: int, value: float) -> None:
+        n = self.n
+        row = self.w[:n, cell]  # new row of L: L^-1 corr[S, cell]
+        pivot_sq = 1.0 + JITTER_SCALE - self.w_sq[cell]
+        if not pivot_sq > 0.0:
+            raise GpConditioningError(f"kernel matrix not positive definite: pivot^2 = {pivot_sq}")
+        pivot = math.sqrt(pivot_sq)
+        self.chol[n, :n] = row
+        self.chol[n, n] = pivot
+        self.w[n] = (self.tables.corr[cell] - row @ self.w[:n]) / pivot
+        self.beta[n] = (value - row @ self.beta[:n]) / pivot
+        self.w_sq += self.w[n] * self.w[n]
+        self.n = n + 1
+
+
+def gp_fit(history: ObservationHistory, tables: KernelTables,
+           model: GpModel | None = None) -> GpModel:
+    """Extend `model` (a new one if None) to every cell of `history`.
+
+    `model` must have been fitted to a prefix of this same history.  theta1 is
+    the empirical variance of all observed values, refit on every call; the
+    length scale is the tables'.  Raises GpConditioningError if a new pivot
+    of the factor is not positive.
+    """
+    n = len(history)
+    if n == 0:
         raise ValueError("cannot fit a GP to an empty history")
-    x = history.points()
-    y = history.values()
-    if theta is None:
-        centered = y - y.mean()
-        theta1 = max(float(centered @ centered) / y.size, 1e-12)
-        theta2 = length_scale
-    else:
-        theta1, theta2 = theta
-        if theta1 <= 0 or theta2 <= 0:
-            raise ValueError("kernel hyperparameters must be positive")
-    if jitter is None:
-        jitter = JITTER_SCALE * theta1
-    k = _kernel_matrix(x, x, theta1, theta2)
-    k[np.diag_indices_from(k)] += jitter
-    try:
-        chol = cho_factor(k, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise GpConditioningError(f"kernel matrix not positive definite: {exc}") from exc
-    alpha = cho_solve(chol, y, check_finite=False)
-    return GpModel(theta1=theta1, theta2=theta2, jitter=jitter,
-                   x_train=x, y_train=y, chol=chol, alpha=alpha)
+    if model is None:
+        model = GpModel(tables)
+    elif model.n > n or model.tables is not tables:
+        raise ValueError("model was not fitted to a prefix of this history")
+    cells, y = history.cells(), history.values()
+    for i in range(model.n, n):
+        model._append(int(cells[i]), float(y[i]))
+    centered = y - y.mean()
+    model.theta1 = max(float(centered @ centered) / n, 1e-12)
+    return model
 
 
-def gp_posterior(model: GpModel, x):
-    """Posterior mean and variance at one (2,) point or a batch of (n, 2) points.
+def gp_posterior(model: GpModel, cells=None) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at the given cell indices (default: every cell).
 
     Variance is clamped at zero; anything below -1e-10 before clamping is a
     numerical fault and raises.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    k_star = _kernel_matrix(model.x_train, pts, model.theta1, model.theta2)
-    mean = k_star.T @ model.alpha
-    # var = theta1 - k*^T (K+jI)^-1 k* via one triangular solve with L
-    w = solve_triangular(model.chol[0], k_star, lower=True, check_finite=False)
-    var = model.theta1 - np.sum(w * w, axis=0)
+    n = model.n
+    if cells is None:
+        w, w_sq = model.w[:n], model.w_sq
+    else:
+        w, w_sq = model.w[:n, cells], model.w_sq[cells]
+    mean = model.beta[:n] @ w
+    var = model.theta1 * (1.0 - w_sq)
     if np.any(var < -1e-10):
         raise GpConditioningError(f"negative posterior variance: {var.min()}")
-    var = np.maximum(var, 0.0)
-    if single:
-        return float(mean[0]), float(var[0])
-    return mean, var
+    return mean, np.maximum(var, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class TpeModel:
     """Two-density Parzen model split at the gamma-quantile of the history."""
 
     gamma: float
     threshold: float
-    bandwidth: np.ndarray
-    good_points: np.ndarray
-    bad_points: np.ndarray
-    candidates: np.ndarray
-    good_norm: float = field(repr=False)
-    bad_norm: float = field(repr=False)
-    cand_l: np.ndarray = field(repr=False)  # normalized densities on the candidate grid
-    cand_g: np.ndarray = field(repr=False)
+    good_cells: np.ndarray
+    bad_cells: np.ndarray
+    l: np.ndarray = field(repr=False)  # good density on every cell, sums to one
+    g: np.ndarray = field(repr=False)  # bad density on every cell, sums to one
     good_uniform: bool = False
     bad_uniform: bool = False
 
 
-def _kde_raw(points: np.ndarray, at: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
-    """Unnormalized Parzen mixture value at each query point."""
-    scaled_sq = cdist(at / bandwidth, points / bandwidth, "sqeuclidean")
-    return np.exp(-0.5 * scaled_sq).mean(axis=1)
+def _parzen_density(parzen: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Parzen mixture over `cells`, normalized over the grid; uniform if empty."""
+    num_cells = parzen.shape[0]
+    if cells.size == 0:
+        return np.full(num_cells, 1.0 / num_cells), True
+    # A C-ordered gather keeps the row sums in the order of a fresh
+    # (num_cells, len(cells)) kernel matrix.
+    raw = np.ascontiguousarray(parzen[:, cells]).mean(axis=1)
+    return raw / np.sum(raw), False
 
 
-def tpe_fit(history: ObservationHistory, gamma: float = DEFAULT_GAMMA,
-            bandwidth=DEFAULT_BANDWIDTH, candidates: np.ndarray | None = None) -> TpeModel:
+def tpe_fit(history: ObservationHistory, tables: KernelTables,
+            gamma: float = DEFAULT_GAMMA) -> TpeModel:
     """Split the history at the gamma-quantile and fit the l/g densities.
 
     The best ceil(gamma*n) observations (lowest values; ties broken
     chronologically) form the good density l, the rest form g.  Each density
-    is a Gaussian Parzen mixture renormalized over the candidate grid; an
-    empty side falls back to the uniform density and is flagged.
+    is a Gaussian Parzen mixture (bandwidth of the tables) normalized over the
+    grid; an empty side falls back to the uniform density and is flagged.
     """
     n = len(history)
     if n < 1:
         raise ValueError("cannot fit TPE to an empty history")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-    bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (2,)).copy()
-    if np.any(bw <= 0):
-        raise ValueError("bandwidth must be positive")
-    if candidates is None:
-        candidates = grid_candidates()
-    candidates = np.asarray(candidates, dtype=float).reshape(-1, 2)
-
     values = history.values()
-    points = history.points()
     order = np.argsort(values, kind="stable")
     n_good = math.ceil(gamma * n)
-    good = points[order[:n_good]]
-    bad = points[order[n_good:]]
-    threshold = float(values[order[n_good - 1]])
-
-    n_cand = candidates.shape[0]
-    if good.shape[0] == 0:
-        good_norm, good_uniform = float(n_cand), True
-        cand_l = np.full(n_cand, 1.0 / n_cand)
-    else:
-        raw = _kde_raw(good, candidates, bw)
-        good_norm, good_uniform = float(np.sum(raw)), False
-        cand_l = raw / good_norm
-    if bad.shape[0] == 0:
-        bad_norm, bad_uniform = float(n_cand), True
-        cand_g = np.full(n_cand, 1.0 / n_cand)
-    else:
-        raw = _kde_raw(bad, candidates, bw)
-        bad_norm, bad_uniform = float(np.sum(raw)), False
-        cand_g = raw / bad_norm
-    return TpeModel(gamma=gamma, threshold=threshold, bandwidth=bw,
-                    good_points=good, bad_points=bad, candidates=candidates,
-                    good_norm=good_norm, bad_norm=bad_norm,
-                    cand_l=cand_l, cand_g=cand_g,
+    good = history.cells()[order[:n_good]]
+    bad = history.cells()[order[n_good:]]
+    l, good_uniform = _parzen_density(tables.parzen, good)
+    g, bad_uniform = _parzen_density(tables.parzen, bad)
+    return TpeModel(gamma=gamma, threshold=float(values[order[n_good - 1]]),
+                    good_cells=good, bad_cells=bad, l=l, g=g,
                     good_uniform=good_uniform, bad_uniform=bad_uniform)
-
-
-def tpe_density(model: TpeModel, x):
-    """(l(x), g(x)) at one point or a batch; strictly positive everywhere."""
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    n_pts = pts.shape[0]
-    if model.good_uniform:
-        l = np.full(n_pts, 1.0 / model.good_norm)
-    else:
-        l = _kde_raw(model.good_points, pts, model.bandwidth) / model.good_norm
-    if model.bad_uniform:
-        g = np.full(n_pts, 1.0 / model.bad_norm)
-    else:
-        g = _kde_raw(model.bad_points, pts, model.bandwidth) / model.bad_norm
-    if single:
-        return float(l[0]), float(g[0])
-    return l, g

@@ -15,7 +15,7 @@ from scipy.stats import norm
 
 from .acquisition import expected_improvement
 from .codebook import quantize_codeword
-from .surrogate import ObservationHistory, gp_fit, gp_posterior, grid_candidates
+from .surrogate import DEFAULT_LENGTH_SCALE, ObservationHistory, gp_fit, gp_posterior, kernel_tables
 
 
 def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
@@ -41,23 +41,25 @@ def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
 
 def check_gp_dense_solve(num_instances: int = 20, seed: int = 11,
                          tol: float = 1e-8) -> bool:
-    """Cholesky posterior must match a dense np.linalg.solve oracle."""
+    """Incremental-factor posterior must match a dense np.linalg.solve oracle."""
     rng = np.random.default_rng(seed)
-    candidates = grid_candidates()
+    theta2 = DEFAULT_LENGTH_SCALE
+    tables = kernel_tables(10, 10, theta2)
+    x_all = tables.coords
     for _ in range(num_instances):
         n = int(rng.integers(2, 40))
-        idx = rng.choice(candidates.shape[0], size=n, replace=False)
-        history = ObservationHistory()
+        idx = rng.choice(tables.num_cells, size=n, replace=False)
+        history = ObservationHistory(tables.num_cells)
         for i in idx:
-            history.add(candidates[i], float(rng.normal(50.0, 10.0)))
-        model = gp_fit(history)
-        mean, var = gp_posterior(model, candidates)
+            history.add(int(i), float(rng.normal(50.0, 10.0)))
+        model = gp_fit(history, tables)
+        mean, var = gp_posterior(model)
 
-        x = history.points()
+        x = x_all[idx]
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        k = model.theta1 * np.exp(-sq / model.theta2 ** 2) + model.jitter * np.eye(n)
-        sq_star = np.sum((x[:, None, :] - candidates[None, :, :]) ** 2, axis=-1)
-        k_star = model.theta1 * np.exp(-sq_star / model.theta2 ** 2)
+        k = model.theta1 * np.exp(-sq / theta2 ** 2) + model.jitter * np.eye(n)
+        sq_star = np.sum((x[:, None, :] - x_all[None, :, :]) ** 2, axis=-1)
+        k_star = model.theta1 * np.exp(-sq_star / theta2 ** 2)
         mean_ref = k_star.T @ np.linalg.solve(k, history.values())
         var_ref = model.theta1 - np.sum(k_star * np.linalg.solve(k, k_star), axis=0)
         if np.max(np.abs(mean - mean_ref)) > tol:

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from ristrack.acquisition import expected_improvement, select_next
@@ -35,14 +36,7 @@ from ristrack.channel import (
 )
 from ristrack.codebook import RisGeometry, ideal_phases, quantize_codeword
 from ristrack.config import ExperimentConfig
-from ristrack.surrogate import (
-    ObservationHistory,
-    gp_fit,
-    gp_posterior,
-    grid_candidates,
-    tpe_density,
-    tpe_fit,
-)
+from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
 from ristrack.tracker import Method, TrackerConfig, run_episode
 
 
@@ -140,31 +134,33 @@ def test_criterion_4_overhead_monotonicity(full_run):
 
 def test_criterion_5_gp_numerical_correctness():
     rng = np.random.default_rng(101)
-    candidates = grid_candidates()
+    tables = kernel_tables(10, 10)
+    candidates = tables.coords
+    theta2 = ExperimentConfig().gp_length_scale
     worst = 0.0
     interp_ok = True
     for _ in range(100):
         n = int(rng.integers(1, 81))
         idx = rng.choice(100, size=n, replace=False)
-        history = ObservationHistory()
+        history = ObservationHistory(100)
         values = rng.normal(60.0, 12.0, size=n)
         for i, v in zip(idx, values):
-            history.add(candidates[i], float(v))
-        model = gp_fit(history)
-        mean, var = gp_posterior(model, candidates)
+            history.add(int(i), float(v))
+        model = gp_fit(history, tables)
+        mean, var = gp_posterior(model)
 
-        x = history.points()
+        x = candidates[idx]
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        k = model.theta1 * np.exp(-sq / model.theta2 ** 2) + model.jitter * np.eye(n)
+        k = model.theta1 * np.exp(-sq / theta2 ** 2) + model.jitter * np.eye(n)
         sq_star = np.sum((x[:, None, :] - candidates[None, :, :]) ** 2, axis=-1)
-        k_star = model.theta1 * np.exp(-sq_star / model.theta2 ** 2)
+        k_star = model.theta1 * np.exp(-sq_star / theta2 ** 2)
         mean_ref = k_star.T @ np.linalg.solve(k, history.values())
         var_ref = np.maximum(model.theta1 - np.sum(k_star * np.linalg.solve(k, k_star),
                                                    axis=0), 0.0)
         worst = max(worst, float(np.max(np.abs(mean - mean_ref))),
                     float(np.max(np.abs(var - var_ref))))
 
-        mean_tr, var_tr = gp_posterior(model, x)
+        mean_tr, var_tr = gp_posterior(model, idx)
         scale = max(1.0, float(np.max(np.abs(history.values()))))
         interp_ok &= bool(np.all(np.abs(mean_tr - history.values()) <= 1e-3 * scale))
         interp_ok &= bool(np.all(var_tr <= 10.0 * model.jitter))
@@ -196,25 +192,45 @@ def test_criterion_6_ei_correctness():
            f"monotone in sigma: {bool(mono)}; EI >= 0: {bool(nonneg)}")
 
 
+def parzen_density(points, at, candidates, bandwidth):
+    """Gaussian Parzen mixture of float points at each row of `at`,
+    normalized over the candidate grid; uniform when there are no points."""
+    if points.shape[0] == 0:
+        return np.full(at.shape[0], 1.0 / candidates.shape[0])
+
+    def raw(query):
+        return np.exp(-0.5 * cdist(query / bandwidth, points / bandwidth,
+                                   "sqeuclidean")).mean(axis=1)
+
+    return raw(at) / float(np.sum(raw(candidates)))
+
+
 def test_criterion_7_tpe_eq5_consistency():
     rng = np.random.default_rng(107)
-    candidates = grid_candidates()
+    tables = kernel_tables(10, 10)
+    idx_all = np.arange(100)
+    candidates = np.stack([idx_all // 10, idx_all % 10], axis=1).astype(float)
+    config = ExperimentConfig()
     mismatches = 0
     for _ in range(1000):
         n = int(rng.integers(2, 60))
         idx = rng.choice(100, size=n, replace=False)
-        history = ObservationHistory()
+        history = ObservationHistory(100)
         for i in idx:
-            history.add(candidates[i], float(rng.normal(0.0, 5.0)))
-        model = tpe_fit(history, candidates=candidates)
-        picked = select_next(candidates, model, history)
+            history.add(int(i), float(rng.normal(0.0, 5.0)))
+        model = tpe_fit(history, tables, gamma=config.tpe_gamma)
+        picked = select_next(model, history)
 
-        measured = {(float(candidates[i][0]), float(candidates[i][1])) for i in idx}
+        points = candidates[idx]
+        order = np.argsort(history.values(), kind="stable")
+        n_good = math.ceil(config.tpe_gamma * n)
+        measured = {(float(c[0]), float(c[1])) for c in points}
         keep = np.array([tuple(c) not in measured for c in candidates])
         remaining = candidates[keep]
-        l, g = tpe_density(model, remaining)
+        l = parzen_density(points[order[:n_good]], remaining, candidates, config.kde_bandwidth)
+        g = parzen_density(points[order[n_good:]], remaining, candidates, config.kde_bandwidth)
         oracle = remaining[int(np.argmax(l / g))]
-        if tuple(picked) != tuple(oracle):
+        if tuple(candidates[picked]) != tuple(oracle):
             mismatches += 1
     report("criterion 7 (TPE selection = argmax l/g)", mismatches == 0,
            f"{mismatches} mismatches in 1000 random histories")

@@ -15,19 +15,15 @@ from ristrack.acquisition import (
     select_next,
     tpe_score,
 )
-from ristrack.surrogate import (
-    ObservationHistory,
-    gp_fit,
-    grid_candidates,
-    tpe_density,
-    tpe_fit,
-)
+from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
+
+TABLES = kernel_tables(10, 10)
 
 
-def history_from(pairs):
-    h = ObservationHistory()
-    for point, value in pairs:
-        h.add(point, value)
+def history_from(pairs, num_cells=100):
+    h = ObservationHistory(num_cells)
+    for cell, value in pairs:
+        h.add(cell, value)
     return h
 
 
@@ -112,74 +108,59 @@ class TestTpeScore:
 
 class TestSelectNext:
     def test_single_remaining_candidate(self):
-        candidates = grid_candidates(2, 2)
-        history = history_from([
-            ((0, 0), 1.0), ((0, 1), 2.0), ((1, 0), 3.0),
-        ])
-        model = tpe_fit(history, candidates=candidates)
-        np.testing.assert_array_equal(select_next(candidates, model, history), [1, 1])
+        history = history_from([(0, 1.0), (1, 2.0), (2, 3.0)], num_cells=4)
+        model = tpe_fit(history, kernel_tables(2, 2))
+        assert select_next(model, history) == 3
 
     def test_never_returns_a_measured_point(self):
         rng = np.random.default_rng(59)
-        candidates = grid_candidates()
         for _ in range(20):
             n = int(rng.integers(1, 40))
             idx = rng.choice(100, size=n, replace=False)
-            history = history_from(
-                (candidates[i], float(rng.normal())) for i in idx
-            )
-            for model in (gp_fit(history), tpe_fit(history, candidates=candidates)):
-                point = select_next(candidates, model, history)
-                assert tuple(point) not in history
+            history = history_from((int(i), float(rng.normal())) for i in idx)
+            for model in (gp_fit(history, TABLES), tpe_fit(history, TABLES)):
+                assert select_next(model, history) not in set(idx.tolist())
 
     def test_gp_single_observation_excluded(self):
-        candidates = grid_candidates()
-        history = history_from([((4, 4), 1.0)])
-        point = select_next(candidates, gp_fit(history), history)
-        assert tuple(point) != (4.0, 4.0)
+        history = history_from([(44, 1.0)])
+        assert select_next(gp_fit(history, TABLES), history) != 44
 
     def test_tpe_selection_is_argmax_of_density_ratio(self):
         """Eq.-(5) score and the raw l/g ratio pick the same point."""
         rng = np.random.default_rng(61)
-        candidates = grid_candidates()
         for _ in range(50):
             n = int(rng.integers(2, 50))
             idx = rng.choice(100, size=n, replace=False)
-            history = history_from(
-                (candidates[i], float(rng.normal())) for i in idx
-            )
-            model = tpe_fit(history, candidates=candidates)
-            point = select_next(candidates, model, history)
-            measured = {tuple(candidates[i]) for i in idx}
-            remaining = np.array([c for c in candidates if tuple(c) not in measured])
-            l, g = tpe_density(model, remaining)
-            ratio_pick = remaining[int(np.argmax(l / g))]
-            np.testing.assert_array_equal(point, ratio_pick)
+            history = history_from((int(i), float(rng.normal())) for i in idx)
+            model = tpe_fit(history, TABLES)
+            picked = select_next(model, history)
+            measured = set(idx.tolist())
+            remaining = np.array([c for c in range(100) if c not in measured])
+            l, g = model.l[remaining], model.g[remaining]
+            assert picked == remaining[int(np.argmax(l / g))]
 
     def test_exhaustion_raises(self):
-        candidates = grid_candidates(2, 1)
-        history = history_from([((0, 0), 1.0), ((1, 0), 2.0)])
+        history = history_from([(0, 1.0), (1, 2.0)], num_cells=2)
         with pytest.raises(CandidatesExhausted):
-            select_next(candidates, tpe_fit(history, candidates=candidates), history)
+            select_next(tpe_fit(history, kernel_tables(2, 1)), history)
 
     def test_tie_breaks_to_lowest_candidate_index(self):
         """A history symmetric about the grid diagonal makes mirrored
         candidates tie exactly; the lower row-major index wins."""
-        candidates = grid_candidates()
-        history = history_from([((4, 4), 1.0), ((5, 5), 1.0)])
-        model = gp_fit(history, theta=(1.0, 2.0), jitter=1e-8)
-        from ristrack.acquisition import expected_improvement as ei
-        from ristrack.surrogate import gp_posterior
+        history = history_from([(44, 1.0), (55, 1.0)])
+        model = gp_fit(history, TABLES)
+        y_star = float(history.values().min())
 
-        mean, var = gp_posterior(model, np.array([[0.0, 9.0], [9.0, 0.0]]))
-        scores = ei(mean, var, y_star=float(model.y_train.min()))
+        mean, var = gp_posterior(model, [9, 90])
+        scores = expected_improvement(mean, var, y_star=y_star)
         assert scores[0] == scores[1]  # exact float tie by symmetry
-        point = select_next(candidates, model, history)
-        best = ei(*gp_posterior(model, candidates), y_star=float(model.y_train.min()))
-        ties = candidates[best == best.max()]
-        np.testing.assert_array_equal(point, ties[0])
-        assert tuple(point) == (0.0, 9.0)  # row-major index 9 beats 90
+        point = select_next(model, history)
+        remaining = np.flatnonzero(~history.seen)
+        best = expected_improvement(*gp_posterior(model, remaining), y_star=y_star)
+        ties = remaining[best == best.max()]
+        assert point == ties[0]
+        assert point == 9  # row-major index 9 beats 90
 
     def test_rejects_unknown_model(self):
         with pytest.raises(TypeError):
-            select_next(grid_candidates(), object(), ObservationHistory())
+            select_next(object(), ObservationHistory(100))

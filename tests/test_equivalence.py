@@ -1,0 +1,158 @@
+"""The integer-cell search core against the float-point route it replaced.
+
+`reference_bo_loop` is the earlier surrogate/acquisition code, kept here as a
+slow reference: float (row, col) points, a `cdist` kernel at every step, a
+full Cholesky factorization per GP fit, and a broadcast compare to drop
+measured points.  On seeded episodes the production core must measure the
+identical cell sequence.
+"""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.spatial.distance import cdist
+
+from ristrack import tracker
+from ristrack.acquisition import expected_improvement, select_next
+from ristrack.bench import episode_rng
+from ristrack.channel import lin_to_db
+from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
+from ristrack.tracker import Method, TrackerConfig, TrackingScenario, run_episode
+
+
+def _kde(points, at, bandwidth):
+    """Gaussian Parzen mixture at each row of `at`, renormalized over `at`."""
+    if points.shape[0] == 0:
+        return np.full(at.shape[0], 1.0 / at.shape[0])
+    raw = np.exp(-0.5 * cdist(at / bandwidth, points / bandwidth, "sqeuclidean")).mean(axis=1)
+    return raw / float(np.sum(raw))
+
+
+def reference_scores(config, candidates, keep, x, y):
+    """Acquisition scores of the candidates[keep] from float history points x."""
+    remaining = candidates[keep]
+    if config.method == Method.GP_EI:
+        centered = y - y.mean()
+        theta1 = max(float(centered @ centered) / y.size, 1e-12)
+        scale = config.length_scale ** 2
+        k = theta1 * np.exp(-cdist(x, x, "sqeuclidean") / scale)
+        k[np.diag_indices_from(k)] += JITTER_SCALE * theta1
+        chol = cho_factor(k, lower=True, check_finite=False)
+        alpha = cho_solve(chol, y, check_finite=False)
+        k_star = theta1 * np.exp(-cdist(x, remaining, "sqeuclidean") / scale)
+        w = solve_triangular(chol[0], k_star, lower=True, check_finite=False)
+        var = np.maximum(theta1 - np.sum(w * w, axis=0), 0.0)
+        return expected_improvement(k_star.T @ alpha, var, y_star=float(y.min()))
+    order = np.argsort(y, kind="stable")
+    n_good = math.ceil(config.gamma * y.size)
+    l = _kde(x[order[:n_good]], candidates, config.kde_bandwidth)[keep]
+    g = _kde(x[order[n_good:]], candidates, config.kde_bandwidth)[keep]
+    ratio = np.divide(l, g, out=np.full_like(l, np.inf), where=g > 0)
+    return np.where(l > 0, ratio, 0.0)
+
+
+def reference_bo_loop(env, config, rng, budget, warm_index, measure):
+    """The float-point BO loop: same contract as `tracker._bo_loop`."""
+    cols = env.grid.cols
+    idx = np.arange(env.grid.num_cells)
+    candidates = np.stack([idx // cols, idx % cols], axis=1).astype(float)
+    points, values, measured = [], [], []
+
+    def record(k):
+        value = measure(k)
+        measured.append((k, value))
+        points.append(divmod(k, cols))
+        values.append(-lin_to_db(value))
+
+    record(warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0])))
+    for _ in range(budget - 1):
+        x = np.asarray(points, dtype=float)
+        keep = ~(candidates[:, None, :] == x[None, :, :]).all(axis=-1).any(axis=1)
+        scores = reference_scores(config, candidates, keep, x, np.asarray(values))
+        point = candidates[keep][int(np.argmax(scores))]
+        record(int(point[0]) * cols + int(point[1]))
+    return measured
+
+
+@pytest.fixture
+def compared_slots(monkeypatch):
+    """Run every BO slot through both loops; collect (new, reference) sequences."""
+    pairs = []
+    production = tracker._bo_loop
+
+    def both(env, config, rng, budget, warm_index, measure, tables):
+        ref_rng = copy.deepcopy(rng)
+        ref = reference_bo_loop(env, config, ref_rng, budget, warm_index,
+                                tracker._make_measure(env, config, ref_rng))
+        got = production(env, config, rng, budget, warm_index, measure, tables)
+        pairs.append(([k for k, _ in got], [k for k, _ in ref]))
+        return got
+
+    monkeypatch.setattr(tracker, "_bo_loop", both)
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return TrackingScenario.default()
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("eta", [0.2, 0.6])
+@pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+def test_seeded_episodes_measure_identical_cells(scenario, compared_slots, method, eta,
+                                                 noisy, warm_start):
+    config = TrackerConfig(method=method, overhead=eta, warm_start=warm_start,
+                           measure_with_noise=noisy, collect_timing=False)
+    for epoch in range(2):
+        run_episode(scenario, config, speed=1 + epoch, rng=episode_rng(20240817, epoch))
+    assert len(compared_slots) == 2 * config.total_slots
+    for got, ref in compared_slots:
+        assert len(got) == config.budget(100)
+        assert got == ref
+
+
+def test_tpe_densities_equal_the_reference_bit_for_bit():
+    """The table route sums each Parzen mixture in the order of a fresh
+    cdist kernel matrix, so l and g match the reference exactly, not merely
+    to a tolerance; a changed order shows here before it flips a pick."""
+    rng = np.random.default_rng(211)
+    tables = kernel_tables(10, 10)
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        idx = rng.choice(100, size=n, replace=False)
+        history = ObservationHistory(100)
+        for i in idx:
+            history.add(int(i), float(rng.normal(0.0, 5.0)))
+        model = tpe_fit(history, tables)
+        coords = tables.coords
+        np.testing.assert_array_equal(model.l, _kde(coords[model.good_cells], coords, 1.0))
+        np.testing.assert_array_equal(model.g, _kde(coords[model.bad_cells], coords, 1.0))
+
+
+@pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+def test_tied_values_break_ties_to_the_lowest_index(method):
+    """A history of tied values on the main diagonal makes every cell (r, c)
+    tie exactly with its mirror (c, r) in both routes: the lower index wins."""
+    config = TrackerConfig(method=method)
+    tables = kernel_tables(10, 10)
+    history = ObservationHistory(100)
+    for cell, value in [(44, -70.0), (55, -70.0), (0, -50.0), (99, -50.0)]:
+        history.add(cell, value)
+    if method == Method.GP_EI:
+        model = gp_fit(history, tables)
+    else:
+        model = tpe_fit(history, tables, gamma=config.gamma)
+    picked = select_next(model, history)
+
+    keep = ~history.seen
+    scores = reference_scores(config, tables.coords, keep, tables.coords[history.cells()],
+                              history.values().copy())
+    remaining = np.flatnonzero(keep)
+    best = remaining[scores == scores.max()]
+    assert len(best) >= 2 and set(best) == {10 * (k % 10) + k // 10 for k in best}
+    assert picked == best[0]

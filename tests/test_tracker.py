@@ -3,15 +3,20 @@ method, and episode determinism.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ristrack import tracker
 
 from ristrack.channel import SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.tracker import (
     Method,
     MobilityState,
+    SlotEnv,
     TrackerConfig,
     TrackingScenario,
     build_slot_env,
@@ -141,6 +146,35 @@ class TestTrackSlot:
         cfg = TrackerConfig(method=Method.TPE_EI, overhead=0.2, measure_with_noise=True)
         r = track_slot(slot_env, cfg, np.random.default_rng(17))
         # achieved/true are still the noiseless comparison quantities
+        assert r.achieved_rsrp <= r.true_best_rsrp
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6), method=st.sampled_from(list(Method)),
+           eta=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1),
+           noisy=st.booleans(), warm=st.booleans())
+    def test_search_invariants_on_any_grid(self, rows, cols, method, eta, seed, noisy, warm):
+        """Any grid shape, 1x1 and non-square included: no cell is measured
+        twice, the budget is used exactly, the achieved power is never above
+        the true best.  The noise is as strong as the signal."""
+        rng = np.random.default_rng(seed)
+        num_cells = rows * cols
+        signals = rng.normal(size=num_cells) + 1j * rng.normal(size=num_cells)
+        env = SlotEnv(grid=GridMap(rows=rows, cols=cols), ue_cell=(0, 0), signals=signals,
+                      rsrp_values=np.abs(signals) ** 2, noise_power=1.0)
+        cfg = TrackerConfig(method=method, overhead=eta, measure_with_noise=noisy,
+                            collect_timing=False)
+        warm_index = int(rng.integers(num_cells)) if warm else None
+        measured = []
+        make_measure = tracker._make_measure
+
+        def recording(env, config, rng):
+            measure = make_measure(env, config, rng)
+            return lambda k: measured.append(k) or measure(k)
+
+        with mock.patch.object(tracker, "_make_measure", recording):
+            r = track_slot(env, cfg, rng, warm_index=warm_index)
+        assert len(set(measured)) == len(measured) == r.measurements_used == cfg.budget(num_cells)
+        assert r.chosen_index in measured
         assert r.achieved_rsrp <= r.true_best_rsrp
 
     def test_budget_rounding(self):
