@@ -18,7 +18,6 @@ from .channel import (
     dbm_to_watts,
     ris_ue_channel,
     rsrp,
-    simulate_received,
     uniform_transmit_signal,
 )
 from .codebook import (
@@ -26,7 +25,6 @@ from .codebook import (
     Codeword,
     GridMap,
     RisGeometry,
-    best_codebook_index,
     build_codebook,
     ideal_phases,
     quantize_codeword,

@@ -135,8 +135,15 @@ def _codeword_phases(codeword) -> np.ndarray:
     return np.asarray(phases, dtype=float)
 
 
-def received_signal(h: np.ndarray, codeword, H: np.ndarray, z: np.ndarray) -> complex:
-    """Noiseless received sample h^H W H z with W = diag(exp(j*beta))."""
+def rsrp(h: np.ndarray, codeword, H: np.ndarray, z: np.ndarray) -> float:
+    """Noiseless received power |h^H W H z|^2, W = diag(exp(j*beta)), for one
+    phase configuration.
+
+    `codeword` may be a Codeword or a raw array of per-element phases in
+    radians.  This scalar form is the oracle for the vectorized per-slot
+    powers of `tracker.build_slot_env`; noise enters only in the tracker's
+    measurements.
+    """
     h = np.asarray(h, dtype=complex)
     H = np.asarray(H, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -148,16 +155,7 @@ def received_signal(h: np.ndarray, codeword, H: np.ndarray, z: np.ndarray) -> co
         raise ValueError(
             f"dimension mismatch: h{h.shape}, beta{beta.shape}, H{H.shape}, z{z.shape}"
         )
-    return complex(np.sum(h * np.exp(1j * beta) * (H @ z)))
-
-
-def rsrp(h: np.ndarray, codeword, H: np.ndarray, z: np.ndarray) -> float:
-    """Noiseless received power |h^H W H z|^2 for one phase configuration.
-
-    `codeword` may be a Codeword or a raw array of per-element phases in
-    radians.  Noise never enters here; it only exists in simulate_received.
-    """
-    return abs(received_signal(h, codeword, H, z)) ** 2
+    return abs(complex(np.sum(h * np.exp(1j * beta) * (H @ z)))) ** 2
 
 
 def coherent_bound(h: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
@@ -165,24 +163,3 @@ def coherent_bound(h: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
     h = np.asarray(h, dtype=complex)
     forward = np.asarray(H, dtype=complex) @ np.asarray(z, dtype=complex)
     return float(np.sum(np.abs(h) * np.abs(forward))) ** 2
-
-
-def simulate_received(
-    h: np.ndarray,
-    codeword,
-    H: np.ndarray,
-    z: np.ndarray,
-    noise_power: float,
-    rng: np.random.Generator,
-) -> complex:
-    """One noisy received sample y = h^H W H z + n.
-
-    `noise_power` is the linear-watt variance of the circularly-symmetric
-    complex Gaussian noise (convert dBm with dbm_to_watts first).
-    """
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    signal = received_signal(h, codeword, H, z)
-    sigma = math.sqrt(noise_power / 2.0)
-    noise = complex(rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)) if sigma > 0 else 0.0
-    return signal + noise

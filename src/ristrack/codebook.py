@@ -29,7 +29,7 @@ class RisGeometry:
 
     rows: int = 10
     cols: int = 10
-    element_spacing: float = 0.025862068965517241  # half of c/5.8e9
+    element_spacing: float = SceneConfig().wavelength / 2.0  # of the default carrier
     origin: Vec3 = Vec3(0.0, 0.0, 0.0)
     phase_bits: int = 2
 
@@ -42,11 +42,9 @@ class RisGeometry:
             raise ValueError("phase_bits must be >= 1")
 
     @classmethod
-    def for_scene(cls, scene: SceneConfig, rows: int = 10, cols: int = 10,
-                  phase_bits: int = 2) -> "RisGeometry":
-        """Half-wavelength-spaced panel at the scene's RIS origin."""
-        return cls(rows=rows, cols=cols, element_spacing=scene.wavelength / 2.0,
-                   origin=scene.ris_origin, phase_bits=phase_bits)
+    def for_scene(cls, scene: SceneConfig) -> "RisGeometry":
+        """Default panel, half-wavelength-spaced at the scene's RIS origin."""
+        return cls(element_spacing=scene.wavelength / 2.0, origin=scene.ris_origin)
 
     @property
     def num_elements(self) -> int:
@@ -259,21 +257,6 @@ def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap,
     ]
     return Codebook(entries=entries, ris_rows=ris.rows, ris_cols=ris.cols,
                     phase_bits=ris.phase_bits)
-
-
-def all_rsrp(codebook: Codebook, h: np.ndarray, H: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Noiseless received power for every codebook entry at once."""
-    cascade = np.asarray(h, dtype=complex) * (np.asarray(H, dtype=complex)
-                                              @ np.asarray(z, dtype=complex))
-    return np.abs(codebook.unit_phasors() @ cascade) ** 2
-
-
-def best_codebook_index(codebook: Codebook, h: np.ndarray, H: np.ndarray,
-                        z: np.ndarray) -> int:
-    """Index of the power-maximizing entry; ties go to the lowest index."""
-    if len(codebook) == 0:
-        raise ValueError("empty codebook")
-    return int(np.argmax(all_rsrp(codebook, h, H, z)))
 
 
 def write_codebook(codebook: Codebook, stream: TextIO) -> None:

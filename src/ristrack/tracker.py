@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from . import acquisition, surrogate
-from .channel import SceneConfig, bs_ris_channel, lin_to_db, ris_ue_channel, uniform_transmit_signal
-from .codebook import Codebook, GridMap, RisGeometry, build_codebook
+from .channel import SceneConfig, bs_ris_channel, lin_to_db, ris_ue_channel
+from .codebook import Codebook, GridMap, RisGeometry
 
 
 class Method(str, Enum):
@@ -105,16 +105,6 @@ class TrackingScenario:
     def __post_init__(self):
         if self.bs_ris is None:
             self.bs_ris = bs_ris_channel(self.scene, self.ris)
-
-    @classmethod
-    def default(cls, scene: SceneConfig | None = None, ris: RisGeometry | None = None,
-                grid: GridMap | None = None, sweep_resolution: int = 64) -> "TrackingScenario":
-        scene = scene or SceneConfig()
-        ris = ris or RisGeometry.for_scene(scene)
-        grid = grid or GridMap()
-        codebook = build_codebook(scene, ris, grid, sweep_resolution=sweep_resolution)
-        return cls(scene=scene, ris=ris, grid=grid, codebook=codebook,
-                   z=uniform_transmit_signal(scene.num_bs_antennas))
 
 
 @dataclass

@@ -4,6 +4,7 @@ CSV/trace emission and round trips, matrix shape, and seeded determinism.
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from ristrack.bench import (
     rows_from_matrix,
     scenario_from_config,
 )
+from ristrack.channel import ChannelModel, Vec3
 from ristrack.codebook import GridMap
-from ristrack.config import DEFAULT_CONFIG_TEXT, ExperimentConfig, parse_config_text
+from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
 from ristrack.tracker import Method, SlotResult, TrackerConfig, run_episode
 
 
@@ -179,14 +181,91 @@ class TestEmission:
             emit_csv([], tmp_path / "no" / "such" / "dir.csv")
 
 
+# One non-default value per file key: (text in the file, value of the field).
+NON_DEFAULT = {
+    "carrier_frequency_hz": ("28e9", 28e9),
+    "num_bs_antennas": ("4", 4),
+    "noise_power_dbm": ("-90.5", -90.5),
+    "channel_model": ("empirical_log", ChannelModel.EMPIRICAL_LOG),
+    "bs_position": ("1 -2 3.5", Vec3(1.0, -2.0, 3.5)),
+    "ris_origin": ("0.1 0.2 0.3", Vec3(0.1, 0.2, 0.3)),
+    "ris_rows": ("8", 8),
+    "ris_cols": ("6", 6),
+    "element_spacing_m": ("0.0259", 0.0259),
+    "phase_bits": ("3", 3),
+    "grid_rows": ("5", 5),
+    "grid_cols": ("7", 7),
+    "cell_size_m": ("0.25", 0.25),
+    "grid_origin": ("-1 -1 0", Vec3(-1.0, -1.0, 0.0)),
+    "cell_height_m": ("1.2", 1.2),
+    "methods": ("tpe_ei gp_ei", (Method.TPE_EI, Method.GP_EI)),
+    "overheads": ("0.3 1", (0.3, 1.0)),
+    "speeds": ("3", (3,)),
+    "total_slots": ("5", 5),
+    "epochs": ("7", 7),
+    "master_seed": ("11", 11),
+    "warm_start": ("yes", True),
+    "measure_with_noise": ("true", True),
+    "tpe_gamma": ("0.4", 0.4),
+    "kde_bandwidth": ("0.5", 0.5),
+    "gp_length_scale": ("3", 3.0),
+    "sweep_resolution": ("32", 32),
+    "collect_timing": ("no", False),
+    "output_dir": ("results/a", "results/a"),
+}
+
+# The template `ristrack init-config` wrote while it was a hand-kept literal
+# (element_spacing_m = 0.0259, the Table-1 print of c/(2 f_c)).
+LITERAL_TEMPLATE = (Path(__file__).parent / "data" / "literal_template.cfg").read_text()
+
+
+def field_of(config: ExperimentConfig, key: str):
+    part, name, _ = KEYS[key]
+    return getattr(config if part == "run" else getattr(config, part), name)
+
+
 class TestConfigFile:
+    def test_default_text_round_trips(self):
+        assert parse_config_text(DEFAULT_CONFIG_TEXT) == parse_config_text("") == ExperimentConfig()
+
+    def test_every_key_lands_in_its_field(self):
+        assert set(NON_DEFAULT) == set(KEYS)
+        defaults = ExperimentConfig()
+        for key, (raw, expected) in NON_DEFAULT.items():
+            assert field_of(defaults, key) != expected, key
+            config = parse_config_text(f"{key} = {raw}\n")
+            assert field_of(config, key) == expected, key
+
+    def test_template_lists_every_key(self):
+        keys = [line.lstrip("# ").split(" =")[0] for line in DEFAULT_CONFIG_TEXT.splitlines()
+                if " = " in line or line.endswith(" =")]
+        assert sorted(keys) == sorted(KEYS)
+
+    def test_omitted_spacing_follows_the_files_carrier(self):
+        config = parse_config_text("carrier_frequency_hz = 28e9\n")
+        assert config.ris.element_spacing == config.scene.wavelength / 2 == 3e8 / 28e9 / 2
+
+    def test_literal_template_still_parses(self):
+        config = parse_config_text(LITERAL_TEMPLATE)
+        assert config.ris.element_spacing == 0.0259
+        assert dataclasses.replace(config, ris=ExperimentConfig().ris) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("wavelength_m", "0.10", "wavelength"),
+        ("light_speed", "2.9e8", "light_speed"),
+    ])
+    def test_literal_template_checks_derived_keys(self, key, bad, message):
+        line = next(line for line in LITERAL_TEMPLATE.splitlines() if line.startswith(key))
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(LITERAL_TEMPLATE.replace(line, f"{key} = {bad}"))
+
     def test_default_text_parses_to_defaults(self):
         config = parse_config_text(DEFAULT_CONFIG_TEXT)
         assert config.scene.carrier_frequency == 5.8e9
         assert config.scene.num_bs_antennas == 2
         assert config.scene.noise_power_dbm == -120
         assert config.ris.rows == config.ris.cols == 10
-        assert config.ris.element_spacing == 0.0259  # Table-1 print, taken verbatim
+        assert config == ExperimentConfig()
         assert config.grid.cell_size == 0.4
         assert config.methods == (Method.ERGODIC, Method.RANDOM, Method.GP_EI, Method.TPE_EI)
         assert config.overheads == (0.2, 0.4, 0.6)

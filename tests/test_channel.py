@@ -1,6 +1,6 @@
-"""Channel-layer tests: path-loss laws against per-entry scalar recomputation,
-the received-power objective against exhaustive enumeration, and the noise
-model against a Monte-Carlo estimate.
+"""Channel-layer tests: path-loss laws against per-entry scalar recomputation
+and the received-power objective against exhaustive enumeration.  The noise
+model is tested with the tracker's measurement in test_tracker.py.
 """
 
 import cmath
@@ -19,7 +19,6 @@ from ristrack.channel import (
     dbm_to_watts,
     ris_ue_channel,
     rsrp,
-    simulate_received,
     uniform_transmit_signal,
 )
 from ristrack.codebook import RisGeometry
@@ -203,44 +202,3 @@ class TestRsrp:
         with pytest.raises(ValueError):
             rsrp(np.ones(3, complex), np.zeros(3), np.ones((2, 1), complex),
                  np.ones(1, complex))
-
-
-class TestSimulateReceived:
-    def test_zero_noise_equals_rsrp(self):
-        rng = np.random.default_rng(0)
-        h = np.array([0.5 + 0.1j, -0.2 + 0.4j])
-        H = np.array([[1.0 + 0j], [0.3 - 0.2j]])
-        z = np.array([1.0 + 0j])
-        beta = np.array([0.1, 1.2])
-        y = simulate_received(h, beta, H, z, noise_power=0.0, rng=rng)
-        assert abs(y) ** 2 == pytest.approx(rsrp(h, beta, H, z), rel=1e-15)
-
-    def test_seeded_reproducibility(self):
-        h = np.array([1.0 + 0j])
-        H = np.array([[1.0 + 0j]])
-        z = np.array([1.0 + 0j])
-        draws1 = [simulate_received(h, [0.0], H, z, 1e-3, np.random.default_rng(42))
-                  for _ in range(1)]
-        draws2 = [simulate_received(h, [0.0], H, z, 1e-3, np.random.default_rng(42))
-                  for _ in range(1)]
-        assert draws1 == draws2
-
-    def test_noise_variance_monte_carlo(self):
-        """Empirical variance of y - signal over 1e5 draws within 5% of sigma^2."""
-        rng = np.random.default_rng(2024)
-        h = np.array([1.0 + 0j])
-        H = np.array([[1.0 + 0j]])
-        z = np.array([1.0 + 0j])
-        noise_power = dbm_to_watts(-120.0)
-        signal = complex(np.sum(h * np.exp(1j * 0.0) * (H @ z)))
-        samples = np.array([
-            simulate_received(h, [0.0], H, z, noise_power, rng) - signal
-            for _ in range(100_000)
-        ])
-        emp = np.mean(np.abs(samples) ** 2)
-        assert emp == pytest.approx(noise_power, rel=0.05)
-
-    def test_negative_noise_power_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_received(np.ones(1, complex), [0.0], np.ones((1, 1), complex),
-                              np.ones(1, complex), -1.0, np.random.default_rng(0))

@@ -7,6 +7,7 @@ import pytest
 from ristrack.cli import OUTPUT_DIR_ENV, main
 from ristrack.codebook import codebook_from_text
 from ristrack.bench import parse_csv
+from ristrack.config import ExperimentConfig, load_config
 
 TINY_CONFIG = """\
 methods = ergodic random
@@ -99,3 +100,29 @@ def test_init_config_writes_template(tmp_path):
     target = tmp_path / "template.cfg"
     assert main(["init-config", str(target)]) == 0
     assert "carrier_frequency_hz" in target.read_text()
+
+
+def test_init_config_loads_to_run_defaults(tmp_path):
+    target = tmp_path / "template.cfg"
+    assert main(["init-config", str(target)]) == 0
+    assert load_config(target) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("bad_line", [
+    "speeds = 0 -3",
+    "speeds = 1 0",
+    "methods =",
+    "total_slots = 0",
+    "tpe_gamma = 1.5",
+    "tpe_gamma = 0",
+    "gp_length_scale = 0",
+    "kde_bandwidth = -1",
+])
+def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + bad_line + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ristrack: error:") and err.count("\n") == 1
+    assert not out.exists()

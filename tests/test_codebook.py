@@ -24,8 +24,6 @@ from ristrack.codebook import (
     Codeword,
     GridMap,
     RisGeometry,
-    all_rsrp,
-    best_codebook_index,
     build_codebook,
     codebook_from_text,
     codebook_to_text,
@@ -33,6 +31,9 @@ from ristrack.codebook import (
     quantize_codeword,
     ue_direction,
 )
+from ristrack.tracker import Method, TrackerConfig, TrackingScenario, build_slot_env, track_slot
+
+ERGODIC = TrackerConfig(method=Method.ERGODIC, collect_timing=False)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,17 @@ def table1():
 def table1_codebook(table1):
     scene, ris, grid = table1
     return build_codebook(scene, ris, grid)
+
+
+def scenario_for(scene, ris, grid, codebook):
+    return TrackingScenario(scene=scene, ris=ris, grid=grid, codebook=codebook,
+                            z=uniform_transmit_signal(scene.num_bs_antennas))
+
+
+def slot_best_index(scenario, cell: int) -> int:
+    """The true-best codebook index the tracker scores a slot against."""
+    env = build_slot_env(scenario, scenario.grid.cell_of(cell))
+    return track_slot(env, ERGODIC, np.random.default_rng(0)).true_best_index
 
 
 class TestGeometry:
@@ -229,14 +241,20 @@ class TestCodebook:
         assert codebook_to_text(again) == codebook_to_text(table1_codebook)
 
     def test_cross_matrix_dominance(self, table1, table1_codebook):
-        """Entry k beats >= 95 of the other 99 entries at its own cell center."""
+        """Entry k beats >= 95 of the other 99 entries at its own cell center.
+
+        The powers are the tracker's per-slot objective, checked entry by
+        entry against the scalar `rsrp` oracle."""
         scene, ris, grid = table1
+        scenario = scenario_for(scene, ris, grid, table1_codebook)
         H = bs_ris_channel(scene, ris)
         z = uniform_transmit_signal(scene.num_bs_antennas)
         own_argmax = 0
         for k in range(grid.num_cells):
+            values = build_slot_env(scenario, grid.cell_of(k)).rsrp_values
             h = ris_ue_channel(scene, ris, grid.cell_center(k))
-            values = all_rsrp(table1_codebook, h, H, z)
+            oracle = [rsrp(h, cw, H, z) for cw in table1_codebook.entries]
+            np.testing.assert_allclose(values, oracle, rtol=1e-12)
             beaten = int(np.sum(values[k] >= values)) - 1
             assert beaten >= 95, f"cell {k}: entry beats only {beaten} others"
             if int(np.argmax(values)) == k:
@@ -245,19 +263,18 @@ class TestCodebook:
         assert own_argmax >= 60
 
     def test_best_codebook_index_single_entry(self, table1):
-        scene, ris, grid = table1
-        cb = build_codebook(scene, ris, GridMap(rows=1, cols=1, origin=Vec3(1.0, 0.0, 0.0)))
-        h = ris_ue_channel(scene, ris, Vec3(1.3, 0.2, 1.5))
-        H = bs_ris_channel(scene, ris)
-        z = uniform_transmit_signal(scene.num_bs_antennas)
-        assert best_codebook_index(cb, h, H, z) == 0
+        scene, ris, _ = table1
+        grid = GridMap(rows=1, cols=1, origin=Vec3(1.0, 0.0, 0.0))
+        cb = build_codebook(scene, ris, grid)
+        assert slot_best_index(scenario_for(scene, ris, grid, cb), 0) == 0
 
     def test_best_codebook_index_matches_linear_scan(self, table1, table1_codebook):
         scene, ris, grid = table1
         H = bs_ris_channel(scene, ris)
         z = uniform_transmit_signal(scene.num_bs_antennas)
-        h = ris_ue_channel(scene, ris, Vec3(2.17, 0.83, 1.5))
-        fast = best_codebook_index(table1_codebook, h, H, z)
+        cell = grid.index_of(7, 4)  # center (2.2, 1.0, 1.5)
+        fast = slot_best_index(scenario_for(scene, ris, grid, table1_codebook), cell)
+        h = ris_ue_channel(scene, ris, grid.cell_center(cell))
         slow = max(range(len(table1_codebook)),
                    key=lambda k: rsrp(h, table1_codebook.entries[k], H, z))
         assert fast == slow

@@ -17,10 +17,11 @@ from scipy.spatial.distance import cdist
 
 from ristrack import tracker
 from ristrack.acquisition import expected_improvement, select_next
-from ristrack.bench import episode_rng
+from ristrack.bench import episode_rng, scenario_from_config
 from ristrack.channel import lin_to_db
+from ristrack.config import ExperimentConfig
 from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
-from ristrack.tracker import Method, TrackerConfig, TrackingScenario, run_episode
+from ristrack.tracker import Method, TrackerConfig, run_episode
 
 
 def _kde(points, at, bandwidth):
@@ -97,7 +98,7 @@ def compared_slots(monkeypatch):
 
 @pytest.fixture(scope="module")
 def scenario():
-    return TrackingScenario.default()
+    return scenario_from_config(ExperimentConfig())
 
 
 @pytest.mark.parametrize("warm_start", [False, True])

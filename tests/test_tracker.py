@@ -1,5 +1,6 @@
 """Tracker tests: mobility statistics, per-slot search invariants for every
-method, and episode determinism.
+method, the noisy measurement against a Monte-Carlo estimate, and episode
+determinism.
 """
 
 import dataclasses
@@ -11,14 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from ristrack import tracker
 
-from ristrack.channel import SceneConfig, Vec3
-from ristrack.codebook import GridMap, RisGeometry
+from ristrack.bench import scenario_from_config
+from ristrack.channel import Vec3, dbm_to_watts, rsrp
+from ristrack.codebook import GridMap
+from ristrack.config import ExperimentConfig
 from ristrack.tracker import (
     Method,
     MobilityState,
     SlotEnv,
     TrackerConfig,
-    TrackingScenario,
     build_slot_env,
     mobility_step,
     run_episode,
@@ -28,7 +30,7 @@ from ristrack.tracker import (
 
 @pytest.fixture(scope="module")
 def scenario():
-    return TrackingScenario.default()
+    return scenario_from_config(ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,56 @@ class TestTrackSlot:
             TrackerConfig(method=Method.RANDOM, overhead=0.0)
         with pytest.raises(ValueError):
             TrackerConfig(method=Method.RANDOM, overhead=1.2)
+
+
+def one_cell_env(signal: complex, noise_power: float) -> SlotEnv:
+    signals = np.array([signal])
+    return SlotEnv(grid=GridMap(rows=1, cols=1), ue_cell=(0, 0), signals=signals,
+                   rsrp_values=np.abs(signals) ** 2, noise_power=noise_power)
+
+
+NOISY = TrackerConfig(measure_with_noise=True)
+
+
+class TestNoisyMeasure:
+    """The tracker's noisy measurement |s + n|^2, n ~ CN(0, noise_power)."""
+
+    def test_zero_noise_equals_rsrp(self):
+        rng = np.random.default_rng(0)
+        h = np.array([0.5 + 0.1j, -0.2 + 0.4j])
+        H = np.array([[1.0 + 0j], [0.3 - 0.2j]])
+        z = np.array([1.0 + 0j])
+        beta = np.array([0.1, 1.2])
+        signal = np.exp(1j * beta) @ (h * (H @ z))  # as build_slot_env forms it
+        measure = tracker._make_measure(one_cell_env(signal, 0.0), NOISY, rng)
+        assert measure(0) == pytest.approx(rsrp(h, beta, H, z), rel=1e-15)
+
+    def test_seeded_reproducibility(self):
+        env = one_cell_env(1.0 + 0j, 1e-3)
+        draws1 = [tracker._make_measure(env, NOISY, np.random.default_rng(42))(0)
+                  for _ in range(1)]
+        draws2 = [tracker._make_measure(env, NOISY, np.random.default_rng(42))(0)
+                  for _ in range(1)]
+        assert draws1 == draws2
+
+    def test_two_normals_per_call_real_part_first(self):
+        """Seeded noisy outputs depend on this draw order."""
+        sigma = np.sqrt(1e-3 / 2.0)
+        measure = tracker._make_measure(one_cell_env(1.0 + 0j, 1e-3), NOISY,
+                                        np.random.default_rng(42))
+        expected_rng = np.random.default_rng(42)
+        for _ in range(3):
+            re, im = expected_rng.normal(0.0, sigma), expected_rng.normal(0.0, sigma)
+            assert measure(0) == pytest.approx(abs(1.0 + re + 1j * im) ** 2, rel=1e-12)
+
+    def test_noise_variance_monte_carlo(self):
+        """Empirical variance of y - signal over 1e5 draws within 5% of sigma^2:
+        with a zero signal the measured power is |n|^2."""
+        rng = np.random.default_rng(2024)
+        noise_power = dbm_to_watts(-120.0)
+        measure = tracker._make_measure(one_cell_env(0j, noise_power), NOISY, rng)
+        emp = np.mean([measure(0) for _ in range(100_000)])
+        assert emp == pytest.approx(noise_power, rel=0.05)
 
 
 class TestRunEpisode:
