@@ -159,8 +159,7 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
 
 
 def scenario_from_config(config: ExperimentConfig) -> TrackingScenario:
-    codebook = build_codebook(config.scene, config.ris, config.grid,
-                              sweep_resolution=config.sweep_resolution)
+    codebook = build_codebook(config.scene, config.ris, config.grid)
     return TrackingScenario(scene=config.scene, ris=config.ris, grid=config.grid,
                             codebook=codebook,
                             z=uniform_transmit_signal(config.scene.num_bs_antennas))

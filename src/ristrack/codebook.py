@@ -192,67 +192,49 @@ def ideal_phases(scene: SceneConfig, ris: RisGeometry, target: Vec3) -> np.ndarr
     return (TWO_PI / scene.wavelength) * (d1 + d2) % TWO_PI
 
 
-def _alignment_score(indices: np.ndarray, phases: np.ndarray, step: float,
-                     weights: np.ndarray | None) -> float:
-    misfit = np.exp(1j * (indices * step - phases))
-    if weights is not None:
-        misfit = weights * misfit
-    return abs(np.sum(misfit))
-
-
 def quantize_codeword(
     continuous_phases: Sequence[float],
     bits: int = 2,
-    sweep_resolution: int = 64,
     weights: Sequence[float] | None = None,
 ) -> Codeword:
     """Quantize continuous phases to 2**bits levels via a reference-phase sweep.
 
-    For each global offset rho, every phase is rounded to the nearest level of
-    (phase + rho); the rounding with the largest coherent sum
-    |sum_i w_i exp(j(beta_i - phase_i))| wins (smallest rho on ties).  Besides
-    the uniform sweep grid, the midpoint of every interval between rounding
-    breakpoints is evaluated, so every rounding pattern reachable by *some*
-    offset is visited and the result matches exhaustive search over all
+    For each global offset rho in [0, step), every phase is rounded to the
+    nearest level of (phase + rho); the rounding with the largest coherent sum
+    |sum_i w_i exp(j(beta_i - phase_i))| wins (smallest rho on ties).  The
+    rounding changes only where some phase + rho crosses a level midpoint, so
+    the midpoints of the at most N+1 intervals between those breakpoints visit
+    every reachable pattern, and the result matches exhaustive search over all
     (2**bits)**N codewords.  `weights` (e.g. per-element cascade amplitudes)
     make the score proportional to the achieved power; by default all
     elements count equally.
     """
     phases = np.asarray(continuous_phases, dtype=float) % TWO_PI
-    if sweep_resolution < 1:
-        raise ValueError("sweep_resolution must be >= 1")
     w = None if weights is None else np.asarray(weights, dtype=float)
     if w is not None and w.shape != phases.shape:
         raise ValueError("weights must match continuous_phases in length")
     levels = 2 ** bits
     step = TWO_PI / levels
 
-    offsets = np.arange(sweep_resolution) * (step / sweep_resolution)
-    # Rounding patterns change where phase + rho crosses a level midpoint;
-    # adding each inter-breakpoint midpoint makes the sweep exhaustive.
     breaks = np.unique((step / 2.0 - phases) % step)
     edges = np.concatenate(([0.0], breaks, [step]))
-    midpoints = (edges[:-1] + edges[1:]) / 2.0
-    candidates = np.unique(np.concatenate((offsets, midpoints)))
-
-    best_score = -1.0
-    best_indices: np.ndarray | None = None
-    for rho in candidates:
-        indices = np.floor((phases + rho) / step + 0.5).astype(int) % levels
-        score = _alignment_score(indices, phases, step, w)
-        if score > best_score:
-            best_score = score
-            best_indices = indices
-    assert best_indices is not None
-    return Codeword(phase_indices=tuple(int(i) for i in best_indices), phase_bits=bits)
+    rho = np.unique((edges[:-1] + edges[1:]) / 2.0)
+    patterns = np.floor((phases + rho[:, None]) / step + 0.5).astype(int) % levels
+    # misfit[l, i] = w_i exp(j(l*step - phase_i)); np.hypot rounds each score
+    # exactly like the scalar abs(), which np.abs on the array does not, and
+    # an ulp decides between rotation-equivalent patterns.
+    misfit = np.exp(1j * (np.arange(levels)[:, None] * step - phases))
+    if w is not None:
+        misfit = w * misfit
+    total = misfit[patterns, np.arange(phases.size)].sum(axis=1)
+    best = patterns[int(np.argmax(np.hypot(total.real, total.imag)))]
+    return Codeword(phase_indices=tuple(int(i) for i in best), phase_bits=bits)
 
 
-def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap,
-                   sweep_resolution: int = 64) -> Codebook:
+def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap) -> Codebook:
     """One quantized codeword per grid cell, aimed at the cell center."""
     entries = [
-        quantize_codeword(ideal_phases(scene, ris, grid.cell_center(k)),
-                          bits=ris.phase_bits, sweep_resolution=sweep_resolution)
+        quantize_codeword(ideal_phases(scene, ris, grid.cell_center(k)), bits=ris.phase_bits)
         for k in range(grid.num_cells)
     ]
     return Codebook(entries=entries, ris_rows=ris.rows, ris_cols=ris.cols,

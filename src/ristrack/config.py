@@ -40,13 +40,15 @@ class ExperimentConfig:
     tpe_gamma: float = surrogate.DEFAULT_GAMMA
     kde_bandwidth: float = surrogate.DEFAULT_BANDWIDTH
     gp_length_scale: float = surrogate.DEFAULT_LENGTH_SCALE
-    sweep_resolution: int = 64
     collect_timing: bool = True
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.ris is None:
+        # The derived panel is marked, so `dataclasses.replace`, which carries
+        # it over, re-derives it for the new scene; a panel passed in is kept.
+        if self.ris is None or getattr(self.ris, "_of_scene", False):
             self.ris = RisGeometry.for_scene(self.scene)
+            object.__setattr__(self.ris, "_of_scene", True)
         if not self.methods:
             raise ValueError("methods must name at least one method")
         if not all(0.0 < eta <= 1.0 for eta in self.overheads):
@@ -127,10 +129,13 @@ KEYS = {
     "tpe_gamma": ("run", "tpe_gamma", float),
     "kde_bandwidth": ("run", "kde_bandwidth", float),
     "gp_length_scale": ("run", "gp_length_scale", float),
-    "sweep_resolution": ("run", "sweep_resolution", int),
     "collect_timing": ("run", "collect_timing", _parse_bool),
     "output_dir": ("run", "output_dir", str),
 }
+
+# Accepted for older files and parsed, so a malformed value still fails, never
+# stored: the codebook's breakpoint sweep is exact without an offset grid.
+_RETIRED_KEYS = {"sweep_resolution": int}
 
 # Accepted for older files and checked against the carrier frequency f, never
 # stored: key -> (what it must equal, its value for a given f, relative tolerance).
@@ -152,7 +157,7 @@ def _check(checked: dict[str, str], carrier_frequency: float) -> None:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     checked: dict[str, str] = {}
-    parts: dict[str, dict] = {"scene": {}, "ris": {}, "grid": {}, "run": {}}
+    parts: dict[str, dict] = {"scene": {}, "ris": {}, "grid": {}, "run": {}, "retired": {}}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -163,9 +168,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in _CHECKED_KEYS:
             checked[key] = value
             continue
-        if key not in KEYS:
+        if key not in KEYS and key not in _RETIRED_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        part, name, parse = KEYS[key]
+        part, name, parse = KEYS.get(key) or ("retired", key, _RETIRED_KEYS[key])
         try:
             parts[part][name] = parse(value)
         except ValueError as exc:
@@ -173,9 +178,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     scene = SceneConfig(**parts["scene"])
     _check(checked, scene.carrier_frequency)
+    ris = None  # no panel key: the scene's own panel, re-derived if the scene is replaced
+    if parts["ris"]:
+        ris = dataclasses.replace(RisGeometry.for_scene(scene), **parts["ris"])
     return ExperimentConfig(
         scene=scene,
-        ris=dataclasses.replace(RisGeometry.for_scene(scene), **parts["ris"]),
+        ris=ris,
         grid=GridMap(**parts["grid"]),
         **parts["run"],
     )

@@ -7,6 +7,7 @@ the production path.  Returns the list of failed check names.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,15 +21,16 @@ from .surrogate import DEFAULT_LENGTH_SCALE, ObservationHistory, gp_fit, gp_post
 
 def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
                                bits: int = 2) -> bool:
-    """quantize_codeword must match brute force over all 4^N codewords."""
+    """quantize_codeword must match brute force over all (2^bits)^N codewords."""
     rng = np.random.default_rng(seed)
     levels = 2 ** bits
     step = 2.0 * np.pi / levels
+    max_elements = min(6, 12 // bits)  # at most 2^12 = 4,096 codewords to enumerate
     for _ in range(num_geometries):
-        n = int(rng.integers(2, 7))
+        n = int(rng.integers(2, max_elements + 1))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
         weights = rng.uniform(0.2, 1.0, size=n)
-        cw = quantize_codeword(phases, bits=bits, sweep_resolution=16, weights=weights)
+        cw = quantize_codeword(phases, bits=bits, weights=weights)
         achieved = abs(np.sum(weights * np.exp(1j * (cw.phases - phases))))
         best = max(
             abs(np.sum(weights * np.exp(1j * (np.array(combo) * step - phases))))
@@ -87,7 +89,8 @@ def check_ei_quadrature(num_triples: int = 100, seed: int = 13,
 
 
 CHECKS = [
-    ("quantizer-vs-exhaustive", check_quantizer_exhaustive),
+    *((f"quantizer-vs-exhaustive-{b}bit", functools.partial(check_quantizer_exhaustive, bits=b))
+      for b in (1, 2, 3)),
     ("gp-vs-dense-solve", check_gp_dense_solve),
     ("ei-vs-quadrature", check_ei_quadrature),
 ]

@@ -255,7 +255,7 @@ def test_criterion_8_codebook_optimality_small_n():
         z = uniform_transmit_signal(1)
         phases = ideal_phases(scene, ris, target)
         weights = np.abs(h) * np.abs(H @ z)
-        cw = quantize_codeword(phases, bits=2, sweep_resolution=32, weights=weights)
+        cw = quantize_codeword(phases, bits=2, weights=weights)
         achieved = rsrp(h, cw, H, z)
         best = max(
             rsrp(h, np.array(combo, dtype=float) * step, H, z)

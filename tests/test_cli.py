@@ -81,7 +81,7 @@ def test_trace_command(tiny_config, tmp_path):
 def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out
 
 
 def test_bad_config_fails_with_diagnostic(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Codebook tests: direction math, ideal phases against scalar recomputation,
-the quantizer against exhaustive 4^N search, and the full-grid cross-matrix.
+the quantizer against exhaustive 4^N search and against the offset-grid
+sweep it replaced, pinned codebooks, and the full-grid cross-matrix.
 """
 
+import dataclasses
+import hashlib
 import io
 import itertools
 import math
@@ -53,6 +56,49 @@ def table1_codebook(table1):
 def scenario_for(scene, ris, grid, codebook):
     return TrackingScenario(scene=scene, ris=ris, grid=grid, codebook=codebook,
                             z=uniform_transmit_signal(scene.num_bs_antennas))
+
+
+def reference_quantize(phases, bits, sweep_resolution, weights=None) -> tuple:
+    """The earlier quantizer, kept as a slow reference: a loop over a uniform
+    grid of `sweep_resolution` offsets plus every inter-breakpoint midpoint,
+    one scalar coherent sum per offset, the first best offset wins."""
+    phases = np.asarray(phases, dtype=float) % (2 * math.pi)
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    levels = 2 ** bits
+    step = 2 * math.pi / levels
+    offsets = np.arange(sweep_resolution) * (step / sweep_resolution)
+    breaks = np.unique((step / 2.0 - phases) % step)
+    edges = np.concatenate(([0.0], breaks, [step]))
+    midpoints = (edges[:-1] + edges[1:]) / 2.0
+    best_score, best_indices = -1.0, None
+    for rho in np.unique(np.concatenate((offsets, midpoints))):
+        indices = np.floor((phases + rho) / step + 0.5).astype(int) % levels
+        misfit = np.exp(1j * (indices * step - phases))
+        if w is not None:
+            misfit = w * misfit
+        score = abs(np.sum(misfit))
+        if score > best_score:
+            best_score, best_indices = score, indices
+    return tuple(int(i) for i in best_indices)
+
+
+# sha256 of `codebook_to_text` for the default scene and grid, by (phase bits,
+# square panel side), recorded with the offset-grid quantizer.
+CODEBOOK_SHA256 = {
+    (1, 4): "b614ab043c362034372820e5f23196aa31f97327649832b8063060f979b93e9d",
+    (1, 10): "3a5e6bfdacfac0633f59bb74748f31ab5103fa6f90173e36b1f0a293764341a4",
+    (1, 16): "79c2aa1fabd10a004119ffec832e4f310ddeaefdd9a126dd87c7602dee02c15b",
+    (2, 4): "2aeceb5db29b98f8c0b43543d8211f3ba5b3a92d6d9f179753ef363a3d159608",
+    (2, 10): "fc348a3f2cabea9ab8209c5f40fed5235b1e7abaa515de94377b0f87ea7bdaf6",
+    (2, 16): "5acfac77d81484346373667894b545dd675d59b38f90e56376dcd5df18ad6114",
+    (3, 4): "7903691de11a18d7f49a33f564a944fbec70de9cee5e2229d6a4ec34a80ff862",
+    (3, 10): "b796a7df1e6f2038c9870d933f5f2070e21f5fbc1cf9f572110536097a4b78eb",
+    (3, 16): "064f6e507a357e3e1d9cdcef4b3b1609d6468016c225d4f5e393848835f19167",
+}
+
+
+def codebook_sha256(codebook: Codebook) -> str:
+    return hashlib.sha256(codebook_to_text(codebook).encode()).hexdigest()
 
 
 def slot_best_index(scenario, cell: int) -> int:
@@ -171,7 +217,7 @@ class TestIdealPhases:
 class TestQuantizeCodeword:
     def test_on_grid_phases_are_a_fixed_point(self):
         phases = np.array([0.0, math.pi / 2, math.pi,  3 * math.pi / 2, math.pi])
-        cw = quantize_codeword(phases, bits=2, sweep_resolution=8)
+        cw = quantize_codeword(phases, bits=2)
         assert cw.phase_indices == (0, 1, 2, 3, 2)
 
     def test_matches_exhaustive_search(self):
@@ -182,7 +228,7 @@ class TestQuantizeCodeword:
             n = int(rng.integers(2, 7))
             phases = rng.uniform(0, 2 * math.pi, size=n)
             weights = rng.uniform(0.3, 1.0, size=n)
-            cw = quantize_codeword(phases, bits=2, sweep_resolution=16, weights=weights)
+            cw = quantize_codeword(phases, bits=2, weights=weights)
             achieved = abs(np.sum(weights * np.exp(1j * (cw.phases - phases))))
             best = max(
                 abs(np.sum(weights * np.exp(1j * (np.array(combo) * step - phases))))
@@ -196,25 +242,36 @@ class TestQuantizeCodeword:
         for _ in range(20):
             n = int(rng.integers(2, 12))
             phases = rng.uniform(0, 2 * math.pi, size=n)
-            cw = quantize_codeword(phases, bits=2, sweep_resolution=16)
+            cw = quantize_codeword(phases, bits=2)
             achieved = abs(np.sum(np.exp(1j * (cw.phases - phases)))) ** 2
             ideal = float(n) ** 2
             assert achieved >= math.cos(math.pi / 4) ** 2 * ideal - 1e-9
 
-    def test_monotone_under_nested_sweep_refinement(self):
-        """Doubling the sweep resolution never lowers the achieved sum."""
+    def test_equals_offset_grid_reference(self):
+        """The breakpoint sweep picks the very codeword the offset-grid loop
+        picked, at every grid resolution: the grid adds no rounding pattern,
+        and ties between equal-scoring patterns resolve the same way."""
         rng = np.random.default_rng(21)
-        phases = rng.uniform(0, 2 * math.pi, size=16)
-        prev = -1.0
-        for res in (1, 2, 4, 8, 16, 32):
-            cw = quantize_codeword(phases, bits=2, sweep_resolution=res)
-            achieved = abs(np.sum(np.exp(1j * (cw.phases - phases))))
-            assert achieved >= prev - 1e-12
-            prev = achieved
+        cases = [(np.array([1.3]), None), (np.array([4.0]), np.array([0.7]))]  # N = 1
+        for _ in range(12):
+            n = int(rng.integers(2, 24))
+            phases = rng.uniform(0, 2 * math.pi, size=n)
+            cases.append((phases, None))
+            cases.append((phases, rng.uniform(0.1, 1.0, size=n)))
+            cases.append((np.repeat(phases[: n // 2 + 1], 2), None))  # duplicate phases
+        for bits in (1, 2, 3):
+            half_step = math.pi / 2 ** bits
+            on_grid = [rng.integers(0, 2 ** (bits + 1), size=int(rng.integers(1, 12))) * half_step
+                       for _ in range(8)]  # every phase a level or an exact breakpoint
+            for phases, weights in cases + [(p, None) for p in on_grid]:
+                got = quantize_codeword(phases, bits=bits, weights=weights).phase_indices
+                for resolution in (1, 8, 64, 256):
+                    assert got == reference_quantize(phases, bits, resolution, weights), \
+                        (bits, resolution, phases.tolist())
 
     def test_one_bit_codewords(self):
         phases = np.array([0.0, math.pi])
-        cw = quantize_codeword(phases, bits=1, sweep_resolution=4)
+        cw = quantize_codeword(phases, bits=1)
         assert cw.phase_indices == (0, 1)
         assert cw.phase_bits == 1
 
@@ -233,6 +290,13 @@ class TestCodebook:
 
     def test_table1_codebook_has_100_entries(self, table1_codebook):
         assert len(table1_codebook) == 100
+
+    def test_codebooks_are_pinned(self, table1, table1_codebook):
+        scene, panel, grid = table1
+        assert codebook_sha256(table1_codebook) == CODEBOOK_SHA256[(2, 10)]
+        for (bits, side), expected in CODEBOOK_SHA256.items():
+            ris = dataclasses.replace(panel, rows=side, cols=side, phase_bits=bits)
+            assert codebook_sha256(build_codebook(scene, ris, grid)) == expected, (bits, side)
 
     def test_build_is_deterministic(self, table1, table1_codebook):
         scene, ris, grid = table1
