@@ -30,11 +30,12 @@ def expected_improvement(mean, variance, y_star):
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance < -1e-10):
-        raise ValueError(f"negative variance: {variance.min()}")
+    lowest = np.fmin.reduce(variance, axis=None, initial=0.0)  # skips NaN; 0 when empty
+    if lowest < -1e-10:
+        raise ValueError(f"negative variance: {lowest}")
     sigma = np.sqrt(np.maximum(variance, 0.0))
     improvement = y_star - mean
-    if np.all(sigma > 0):
+    if np.minimum.reduce(sigma, axis=None, initial=np.inf) > 0:  # np.all(sigma > 0)
         u = improvement / sigma
         ei = improvement * ndtr(u) + sigma * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
     else:
@@ -81,7 +82,7 @@ def select_next(model, history: ObservationHistory) -> int:
     models use the density-ratio score.  Raises CandidatesExhausted once the
     history covers every cell.
     """
-    remaining = np.flatnonzero(~history.seen)
+    remaining = (~history.seen).nonzero()[0]
     if remaining.size == 0:
         raise CandidatesExhausted("all candidates measured")
     if isinstance(model, GpModel):
@@ -91,4 +92,4 @@ def select_next(model, history: ObservationHistory) -> int:
         scores = _density_ratio(model.l[remaining], model.g[remaining])
     else:
         raise TypeError(f"unsupported surrogate model: {type(model).__name__}")
-    return int(remaining[np.argmax(scores)])
+    return int(remaining[scores.argmax()])

@@ -32,6 +32,7 @@ class RisGeometry:
     element_spacing: float = SceneConfig().wavelength / 2.0  # of the default carrier
     origin: Vec3 = Vec3(0.0, 0.0, 0.0)
     phase_bits: int = 2
+    _positions: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -55,15 +56,22 @@ class RisGeometry:
         return 2 ** self.phase_bits
 
     def element_positions(self) -> np.ndarray:
-        """(N, 3) element coordinates, row-major (x along cols, y along rows)."""
-        r = np.arange(self.rows) - (self.rows - 1) / 2.0
-        c = np.arange(self.cols) - (self.cols - 1) / 2.0
-        yy, xx = np.meshgrid(r, c, indexing="ij")
-        pos = np.zeros((self.num_elements, 3))
-        pos[:, 0] = self.origin.x + xx.ravel() * self.element_spacing
-        pos[:, 1] = self.origin.y + yy.ravel() * self.element_spacing
-        pos[:, 2] = self.origin.z
-        return pos
+        """(N, 3) element coordinates, row-major (x along cols, y along rows).
+
+        Computed once per panel and returned read-only; `dataclasses.replace`
+        makes a new panel that computes its own.
+        """
+        if self._positions is None:
+            r = np.arange(self.rows) - (self.rows - 1) / 2.0
+            c = np.arange(self.cols) - (self.cols - 1) / 2.0
+            yy, xx = np.meshgrid(r, c, indexing="ij")
+            pos = np.zeros((self.num_elements, 3))
+            pos[:, 0] = self.origin.x + xx.ravel() * self.element_spacing
+            pos[:, 1] = self.origin.y + yy.ravel() * self.element_spacing
+            pos[:, 2] = self.origin.z
+            pos.flags.writeable = False
+            object.__setattr__(self, "_positions", pos)  # frozen: cache only
+        return self._positions
 
 
 @dataclass(frozen=True)

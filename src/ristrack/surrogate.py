@@ -98,26 +98,28 @@ class GpModel:
 
     With jitter proportional to theta1 the posterior mean does not depend on
     theta1 and the variance is theta1 times a theta1-free term, so the factor
-    of the correlation part is grown one row per measurement (GPML Alg. 2.1):
-    chol = L with L L^T = corr[S, S] + 1e-6 I, w = L^-1 corr[S, :],
-    beta = L^-1 y and w_sq = the column sums of w**2.  Only the first n rows
-    are in use.
+    of the correlation part, L L^T = corr[S, S] + 1e-6 I, is grown one row per
+    measurement (GPML Alg. 2.1).  The model keeps w = L^-1 corr[S, :],
+    beta = L^-1 y, w_sq = the column sums of w**2 and mean = beta @ w, the
+    posterior mean on every cell; only the first n rows of w and beta are in
+    use.  L is not stored: its row i is w[:i, c_i] with diagonal
+    sqrt(1 + 1e-6 - sum(w[:i, c_i]**2)), c_i the i-th measured cell.
     """
 
     tables: KernelTables = field(repr=False)
     theta1: float = field(default=0.0, init=False)
     n: int = field(default=0, init=False)
-    chol: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
     beta: np.ndarray = field(init=False, repr=False)
     w_sq: np.ndarray = field(init=False, repr=False)
+    mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         size = self.tables.num_cells
-        self.chol = np.zeros((size, size))
         self.w = np.empty((size, size))
         self.beta = np.empty(size)
         self.w_sq = np.zeros(size)
+        self.mean = np.zeros(size)
 
     @property
     def jitter(self) -> float:
@@ -130,11 +132,11 @@ class GpModel:
         if not pivot_sq > 0.0:
             raise GpConditioningError(f"kernel matrix not positive definite: pivot^2 = {pivot_sq}")
         pivot = math.sqrt(pivot_sq)
-        self.chol[n, :n] = row
-        self.chol[n, n] = pivot
         self.w[n] = (self.tables.corr[cell] - row @ self.w[:n]) / pivot
         self.beta[n] = (value - row @ self.beta[:n]) / pivot
-        self.w_sq += self.w[n] * self.w[n]
+        w_new = self.w[n]
+        self.w_sq += w_new * w_new
+        self.mean += self.beta[n] * w_new
         self.n = n + 1
 
 
@@ -157,7 +159,7 @@ def gp_fit(history: ObservationHistory, tables: KernelTables,
     cells, y = history.cells(), history.values()
     for i in range(model.n, n):
         model._append(int(cells[i]), float(y[i]))
-    centered = y - y.mean()
+    centered = y - y.sum() / n  # bit-identical to y - y.mean()
     model.theta1 = max(float(centered @ centered) / n, 1e-12)
     return model
 
@@ -165,18 +167,19 @@ def gp_fit(history: ObservationHistory, tables: KernelTables,
 def gp_posterior(model: GpModel, cells=None) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at the given cell indices (default: every cell).
 
+    Both are new arrays; writing to them leaves the model unchanged.
+
     Variance is clamped at zero; anything below -1e-10 before clamping is a
     numerical fault and raises.
     """
-    n = model.n
     if cells is None:
-        w, w_sq = model.w[:n], model.w_sq
+        mean, w_sq = model.mean.copy(), model.w_sq
     else:
-        w, w_sq = model.w[:n, cells], model.w_sq[cells]
-    mean = model.beta[:n] @ w
+        mean, w_sq = model.mean[cells], model.w_sq[cells]
     var = model.theta1 * (1.0 - w_sq)
-    if np.any(var < -1e-10):
-        raise GpConditioningError(f"negative posterior variance: {var.min()}")
+    lowest = np.fmin.reduce(var, axis=None, initial=0.0)  # skips NaN; 0 when empty
+    if lowest < -1e-10:
+        raise GpConditioningError(f"negative posterior variance: {lowest}")
     return mean, np.maximum(var, 0.0)
 
 
@@ -194,15 +197,14 @@ class TpeModel:
     bad_uniform: bool = False
 
 
-def _parzen_density(parzen: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Parzen mixture over `cells`, normalized over the grid; uniform if empty."""
-    num_cells = parzen.shape[0]
-    if cells.size == 0:
+def _parzen_density(kernel: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Parzen mixture of the columns of `kernel` (num_cells, k), normalized over
+    the grid; uniform if k = 0."""
+    num_cells, k = kernel.shape
+    if k == 0:
         return np.full(num_cells, 1.0 / num_cells), True
-    # A C-ordered gather keeps the row sums in the order of a fresh
-    # (num_cells, len(cells)) kernel matrix.
-    raw = np.ascontiguousarray(parzen[:, cells]).mean(axis=1)
-    return raw / np.sum(raw), False
+    raw = kernel.sum(axis=1) / k  # kernel.mean(axis=1) bit for bit, without its dispatch
+    return raw / raw.sum(), False
 
 
 def tpe_fit(history: ObservationHistory, tables: KernelTables,
@@ -222,10 +224,12 @@ def tpe_fit(history: ObservationHistory, tables: KernelTables,
     values = history.values()
     order = np.argsort(values, kind="stable")
     n_good = math.ceil(gamma * n)
-    good = history.cells()[order[:n_good]]
-    bad = history.cells()[order[n_good:]]
-    l, good_uniform = _parzen_density(tables.parzen, good)
-    g, bad_uniform = _parzen_density(tables.parzen, bad)
+    ranked = history.cells()[order]
+    # One C-ordered gather: each row of either side is contiguous, so its sum
+    # runs in the order of a fresh (num_cells, side size) kernel matrix.
+    kernel = tables.parzen.take(ranked, axis=1)
+    l, good_uniform = _parzen_density(kernel[:, :n_good])
+    g, bad_uniform = _parzen_density(kernel[:, n_good:])
     return TpeModel(gamma=gamma, threshold=float(values[order[n_good - 1]]),
-                    good_cells=good, bad_cells=bad, l=l, g=g,
+                    good_cells=ranked[:n_good], bad_cells=ranked[n_good:], l=l, g=g,
                     good_uniform=good_uniform, bad_uniform=bad_uniform)

@@ -57,7 +57,7 @@ class MobilityState:
     speed: int  # grid cells per slot
 
 
-_MOVES = np.array([(-1, 0), (1, 0), (0, -1), (0, 1)])
+_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def mobility_step(state: MobilityState, grid: GridMap, rng: np.random.Generator) -> MobilityState:
@@ -66,12 +66,10 @@ def mobility_step(state: MobilityState, grid: GridMap, rng: np.random.Generator)
     Moves that would leave the grid are redrawn; a cell with no valid
     neighbor (1x1 grid) stays put.
     """
+    if grid.num_cells == 1:  # on any larger grid every cell has a neighbor
+        return state
     row, col = state.row, state.col
     for _ in range(state.speed):
-        valid = [(row + dr, col + dc) for dr, dc in _MOVES
-                 if 0 <= row + dr < grid.rows and 0 <= col + dc < grid.cols]
-        if not valid:
-            break
         while True:
             dr, dc = _MOVES[rng.integers(4)]
             if 0 <= row + dr < grid.rows and 0 <= col + dc < grid.cols:
@@ -101,10 +99,12 @@ class TrackingScenario:
     codebook: Codebook
     z: np.ndarray
     bs_ris: np.ndarray | None = field(default=None, repr=False)
+    forward: np.ndarray = field(init=False, repr=False)  # bs_ris @ z, per RIS element
 
     def __post_init__(self):
         if self.bs_ris is None:
             self.bs_ris = bs_ris_channel(self.scene, self.ris)
+        self.forward = self.bs_ris @ self.z
 
 
 @dataclass
@@ -121,7 +121,7 @@ class SlotEnv:
 def build_slot_env(scenario: TrackingScenario, ue_cell: tuple[int, int]) -> SlotEnv:
     ue = scenario.grid.cell_center(scenario.grid.index_of(*ue_cell))
     h = ris_ue_channel(scenario.scene, scenario.ris, ue)
-    cascade = h * (scenario.bs_ris @ scenario.z)
+    cascade = h * scenario.forward
     signals = scenario.codebook.unit_phasors() @ cascade
     return SlotEnv(grid=scenario.grid, ue_cell=ue_cell, signals=signals,
                    rsrp_values=np.abs(signals) ** 2,

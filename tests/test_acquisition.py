@@ -81,6 +81,46 @@ class TestExpectedImprovement:
         assert expected_improvement(1.0, -1e-11, 0.0) == 0.0
 
 
+class TestExpectedImprovementEdgeInputs:
+    """Outputs pinned on empty, 0-d, zero-variance and NaN inputs.
+
+    EI(mean 1, variance 4, y* 2) = 1.3955931148026122; a zero or NaN
+    variance gives max(y* - mean, 0); a NaN mean gives NaN.
+    """
+
+    EI_1_4_2 = 1.3955931148026122
+
+    def test_empty_array(self):
+        ei = expected_improvement(np.array([]), np.array([]), 0.0)
+        assert isinstance(ei, np.ndarray) and ei.shape == (0,) and ei.dtype == np.float64
+
+    def test_zero_d_inputs_give_python_floats(self):
+        cases = ((1.0, 4.0, self.EI_1_4_2), (np.array(1.0), np.array(4.0), self.EI_1_4_2),
+                 (1.0, 0.0, 1.0), (3.0, 0.0, 0.0), (1.0, float("nan"), 1.0), (1.0, -1e-11, 1.0))
+        for mean, var, want in cases:
+            ei = expected_improvement(mean, var, 2.0)
+            assert type(ei) is float and ei == want
+        assert math.isnan(expected_improvement(float("nan"), 1.0, 2.0))
+
+    def test_zero_variance_and_nan_entries(self):
+        cases = [
+            (([1.0, 3.0, 1.0], [0.0, 0.0, 4.0]), [1.0, 0.0, self.EI_1_4_2]),
+            (([np.nan, 1.0], [1.0, 4.0]), [np.nan, self.EI_1_4_2]),
+            (([np.nan, 1.0], [0.0, 4.0]), [np.nan, self.EI_1_4_2]),
+            (([1.0, 1.0], [np.nan, 4.0]), [1.0, self.EI_1_4_2]),
+            (([1.0, 1.0], [-1e-11, 4.0]), [1.0, self.EI_1_4_2]),
+        ]
+        for (mean, var), want in cases:
+            np.testing.assert_array_equal(
+                expected_improvement(np.array(mean), np.array(var), 2.0), want)
+
+    def test_variance_below_tolerance_raises(self):
+        for mean, var in ((1.0, -1e-9), (np.array([1.0, 1.0]), np.array([-1e-9, 4.0])),
+                          (np.array([1.0, 1.0]), np.array([np.nan, -1e-9]))):
+            with pytest.raises(ValueError):
+                expected_improvement(mean, var, 2.0)
+
+
 class TestTpeScore:
     def test_zero_bad_density_is_maximal(self):
         assert tpe_score(0.3, 0.0, 0.25) == pytest.approx(4.0, rel=1e-15)

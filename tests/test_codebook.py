@@ -34,6 +34,7 @@ from ristrack.codebook import (
     quantize_codeword,
     ue_direction,
 )
+from ristrack.config import ExperimentConfig
 from ristrack.tracker import Method, TrackerConfig, TrackingScenario, build_slot_env, track_slot
 
 ERGODIC = TrackerConfig(method=Method.ERGODIC, collect_timing=False)
@@ -123,6 +124,30 @@ class TestGeometry:
         assert pos.shape == (100, 3)
         np.testing.assert_allclose(pos.mean(axis=0), [0.0, 0.0, 0.0], atol=1e-12)
         assert np.all(pos[:, 2] == 0.0)
+
+    def test_element_positions_are_computed_once_and_read_only(self):
+        ris = RisGeometry(rows=3, cols=4, element_spacing=0.5, origin=Vec3(1.0, -2.0, 0.25))
+        pos = ris.element_positions()
+        assert ris.element_positions() is pos
+        with pytest.raises(ValueError):
+            pos[0, 0] = 9.0
+        yy, xx = np.meshgrid(np.arange(3) - 1.0, np.arange(4) - 1.5, indexing="ij")
+        fresh = np.stack([1.0 + xx.ravel() * 0.5, -2.0 + yy.ravel() * 0.5,
+                          np.full(12, 0.25)], axis=1)
+        np.testing.assert_array_equal(pos, fresh)
+
+    def test_replaced_panel_has_its_own_positions(self):
+        config = ExperimentConfig()
+        before = config.ris.element_positions()
+        for ris, spacing in (
+            (dataclasses.replace(config.ris, element_spacing=0.01), 0.01),
+            (dataclasses.replace(config, scene=SceneConfig(carrier_frequency=28e9)).ris,
+             3e8 / 28e9 / 2),
+        ):
+            pos = ris.element_positions()
+            assert pos is not before
+            np.testing.assert_allclose(pos, before * (spacing / config.ris.element_spacing),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_grid_tiles_four_by_four_meters(self, table1):
         _, _, grid = table1

@@ -154,17 +154,56 @@ class TestGpFit:
         assert var[0] == pytest.approx(model.theta1, rel=1e-12)
 
     def test_kernel_matrix_reconstruction(self):
-        """Symmetry and Cholesky reconstruction residual below 1e-8."""
+        """Symmetry and Cholesky reconstruction residual below 1e-8.
+
+        The model stores no factor; row i of L is rebuilt from w:
+        L[i, :i] = w[:i, c_i] and L[i, i] = sqrt(1 + 1e-6 - sum w[:i, c_i]^2).
+        """
         rng = np.random.default_rng(29)
         history = random_history(rng, 30)
         model = gp_fit(history, TABLES)
         x = TABLES.coords[history.cells()]
         k = dense_kernel(model.theta1, 2.0, x, x)
         np.testing.assert_allclose(k, k.T, atol=0)
-        lower = model.chol[:30, :30]
-        np.testing.assert_array_equal(lower, np.tril(lower))
+        lower = np.zeros((30, 30))
+        for i, cell in enumerate(history.cells()):
+            lower[i, :i] = model.w[:i, cell]
+            lower[i, i] = math.sqrt(1.0 + 1e-6 - np.sum(model.w[:i, cell] ** 2))
         recon = model.theta1 * (lower @ lower.T)
         assert np.max(np.abs(recon - (k + model.jitter * np.eye(30)))) < 1e-8
+
+    def test_carried_mean_equals_beta_times_w(self):
+        """After every append of a 60-step history, mean = beta[:n] @ w[:n]
+        to a relative 1e-12."""
+        rng = np.random.default_rng(61)
+        full = random_history(rng, 60, value_scale=25.0)
+        history = ObservationHistory(100)
+        model = None
+        for cell, value in zip(full.cells(), full.values()):
+            history.add(int(cell), float(value))
+            model = gp_fit(history, TABLES, model)
+            n = model.n
+            np.testing.assert_allclose(model.mean, model.beta[:n] @ model.w[:n],
+                                       rtol=1e-12, atol=0)
+
+    def test_posterior_outputs_are_copies(self):
+        """Writing into gp_posterior's outputs leaves the next posterior unchanged."""
+        rng = np.random.default_rng(67)
+        model = gp_fit(random_history(rng, 15), TABLES)
+        mean, var = gp_posterior(model)
+        want_mean, want_var = mean.copy(), var.copy()
+        mean[:] = 1e9
+        var[:] = -1.0
+        for got, want in zip(gp_posterior(model), (want_mean, want_var)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_cell_list_gives_empty_posterior(self):
+        """Pinned: no cells give two empty float arrays, not an error."""
+        model = gp_fit(history_from([(3, 1.0), (40, -2.0)]), TABLES)
+        for cells in ([], np.array([], dtype=np.intp)):
+            mean, var = gp_posterior(model, cells)
+            for got in (mean, var):
+                assert got.shape == (0,) and got.dtype == np.float64
 
     def test_conditioning_error_raised(self):
         """A correlation table that is not positive definite gives a

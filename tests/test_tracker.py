@@ -81,6 +81,20 @@ class TestMobility:
             state = mobility_step(state, grid, rng)
             assert 0 <= state.row < 3 and 0 <= state.col < 2
 
+    @pytest.mark.parametrize("rows, cols, cells, next_draw", [
+        (1, 1, [(0, 0)] * 12, 720255338),
+        (1, 7, [(0, 3)] * 5 + [(0, 5)] * 2 + [(0, 3)] * 5, 961480225),
+        (7, 1, [(3, 0), (3, 0), (5, 0), (5, 0), (3, 0), (1, 0), (1, 0), (3, 0), (1, 0),
+                (3, 0), (3, 0), (3, 0)], 68949727),
+    ])
+    def test_seeded_walk_on_thin_grids_is_pinned(self, rows, cols, cells, next_draw):
+        """12 speed-2 steps from the middle cell under seed 5; the draw after
+        the walk pins how many draws the walk made."""
+        rng = np.random.default_rng(5)
+        walk = _walk(MobilityState(rows // 2, cols // 2, 2), GridMap(rows=rows, cols=cols), rng, 12)
+        assert [(s.row, s.col) for s in walk] == cells
+        assert int(rng.integers(1 << 30)) == next_draw
+
     def test_deterministic_under_seed(self):
         grid = GridMap()
         walk = lambda seed: [
@@ -241,6 +255,10 @@ class TestNoisyMeasure:
         assert emp == pytest.approx(noise_power, rel=0.05)
 
 
+def test_scenario_holds_the_forward_product(scenario):
+    np.testing.assert_array_equal(scenario.forward, scenario.bs_ris @ scenario.z)
+
+
 class TestRunEpisode:
     def test_single_slot_episode(self, scenario):
         cfg = TrackerConfig(method=Method.ERGODIC, total_slots=1)
@@ -279,3 +297,36 @@ class TestRunEpisode:
         a = run_episode(scenario, base, speed=1, rng=np.random.default_rng(37))
         b = run_episode(scenario, warm, speed=1, rng=np.random.default_rng(37))
         assert a != b
+
+    @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+    def test_one_call_per_slot_and_per_step(self, scenario, method, monkeypatch):
+        """The call structure the benchmark's span counts assume: per slot one
+        mobility_step, build_slot_env, ris_ue_channel and track_slot; per BO
+        step one fit and one select_next, and on the GP path one gp_posterior
+        and one expected_improvement."""
+        counts = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("mobility_step", "build_slot_env", "ris_ue_channel", "track_slot"):
+            count(tracker, name)
+        for name in ("gp_fit", "tpe_fit"):
+            count(tracker.surrogate, name)
+        for name in ("select_next", "gp_posterior", "expected_improvement"):
+            count(tracker.acquisition, name)
+        cfg = TrackerConfig(method=method, overhead=0.2, total_slots=3, collect_timing=False)
+        run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(41))
+        steps = 3 * (cfg.budget(100) - 1)
+        fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
+        want = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3, "track_slot": 3,
+                fit: steps, "select_next": steps}
+        if method == Method.GP_EI:
+            want.update(gp_posterior=steps, expected_improvement=steps)
+        assert counts == want
