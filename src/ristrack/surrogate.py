@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 DEFAULT_LENGTH_SCALE = 2.0   # grid units
 DEFAULT_GAMMA = 0.25
@@ -57,12 +56,18 @@ def kernel_tables(rows: int, cols: int, length_scale: float = DEFAULT_LENGTH_SCA
         raise ValueError("length scale and bandwidth must be positive")
     idx = np.arange(rows * cols)
     coords = np.stack([idx // cols, idx % cols], axis=1).astype(float)
-    corr = np.exp(-cdist(coords, coords, "sqeuclidean") / length_scale ** 2)
-    scaled = coords / bandwidth
-    parzen = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
+    corr = np.exp(-_sq_distances(coords) / length_scale ** 2)
+    parzen = np.exp(-0.5 * _sq_distances(coords / bandwidth))
     for table in (coords, corr, parzen):
         table.flags.writeable = False
     return KernelTables(coords=coords, corr=corr, parzen=parzen)
+
+
+def _sq_distances(points: np.ndarray) -> np.ndarray:
+    """All pairwise squared distances of the rows of `points`: cdist's
+    "sqeuclidean" bit for bit (same summation order), without scipy.spatial."""
+    d = points[:, None, :] - points[None, :, :]
+    return (d * d).sum(-1)
 
 
 class ObservationHistory:

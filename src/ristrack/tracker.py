@@ -135,7 +135,7 @@ def track_slot(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
     budget = config.budget(num_cells)
     true_best = int(np.argmax(env.rsrp_values))
 
-    measure = _make_measure(env, config, rng)
+    noise_rng = rng if config.measure_with_noise else None
     tables = None
     if config.method in (Method.GP_EI, Method.TPE_EI):  # cached; looked up before the timer
         tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,
@@ -144,17 +144,15 @@ def track_slot(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
     t0 = time.perf_counter() if config.collect_timing else 0.0
 
     if config.method == Method.ERGODIC:
-        measured = [(k, measure(k)) for k in range(num_cells)]
-        used = num_cells
+        cells = np.arange(num_cells)
+        values = measure(env, cells, noise_rng)
     elif config.method == Method.RANDOM:
-        picks = rng.choice(num_cells, size=budget, replace=False)
-        measured = [(int(k), measure(int(k))) for k in picks]
-        used = budget
+        cells = rng.choice(num_cells, size=budget, replace=False)
+        values = measure(env, cells, noise_rng)
     else:
-        measured = _bo_loop(env, config, rng, budget, warm_index, measure, tables)
-        used = budget
+        cells, values = _bo_loop(env, config, rng, budget, warm_index, noise_rng, tables)
 
-    chosen = max(measured, key=lambda kv: kv[1])[0]
+    chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
     elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
 
     return SlotResult(
@@ -163,38 +161,42 @@ def track_slot(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
         chosen_index=chosen,
         true_best_rsrp=float(env.rsrp_values[true_best]),
         achieved_rsrp=float(env.rsrp_values[chosen]),
-        measurements_used=used,
+        measurements_used=len(cells),
         elapsed=elapsed,
     )
 
 
-def _make_measure(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator):
-    if not config.measure_with_noise:
-        return lambda k: float(env.rsrp_values[k])
+def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
+    """Power the UE reports on codebook entries `cells` (an index or an index array).
+
+    Without `noise_rng` this is the exact RSRP.  With it, each measurement is
+    |s + n|^2 with n ~ CN(0, noise_power), all drawn in one normal call of
+    shape cells.shape + (2,): per cell the real part, then the imaginary part.
+    That is the stream of two scalar draws per cell in measurement order.
+    """
+    if noise_rng is None:
+        return env.rsrp_values[cells]
     sigma = float(np.sqrt(env.noise_power / 2.0))
-
-    def measure(k: int) -> float:
-        noise = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
-        return float(np.abs(env.signals[k] + noise) ** 2)
-
-    return measure
+    noise = noise_rng.normal(0.0, sigma, size=np.shape(cells) + (2,))
+    return np.abs(env.signals[cells] + (noise[..., 0] + 1j * noise[..., 1])) ** 2
 
 
 def _bo_loop(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
-             budget: int, warm_index: int | None, measure,
-             tables: surrogate.KernelTables) -> list[tuple[int, float]]:
+             budget: int, warm_index: int | None, noise_rng: np.random.Generator | None,
+             tables: surrogate.KernelTables) -> tuple[np.ndarray, list[float]]:
     """Algorithm: one initial codebook entry, then fit -> select -> measure.
 
-    The surrogate is fit on negated dB power so that the whole
+    Returns the measured cells and their measured powers, in measurement
+    order.  The surrogate is fit on negated dB power so that the whole
     surrogate/acquisition stack minimizes.  The GP factor is extended by the
     new cell at each step instead of refit.
     """
     history = surrogate.ObservationHistory(tables.num_cells)
-    measured: list[tuple[int, float]] = []
+    values: list[float] = []  # linear power; the history holds the objective
 
     def record(k: int) -> None:
-        value = measure(k)
-        measured.append((k, value))
+        value = measure(env, k, noise_rng)
+        values.append(value)
         history.add(k, -lin_to_db(value))
 
     first = warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0]))
@@ -207,7 +209,7 @@ def _bo_loop(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
             model = surrogate.tpe_fit(history, tables, gamma=config.gamma)
         # perfbench/spans.py reads the history from this keyword
         record(acquisition.select_next(model, history=history))
-    return measured
+    return history.cells(), values
 
 
 def run_episode(scenario: TrackingScenario, config: TrackerConfig, speed: int,

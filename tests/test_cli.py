@@ -2,8 +2,14 @@
 and exit codes.  Commands run in-process via main(argv).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ristrack
 from ristrack.cli import OUTPUT_DIR_ENV, main
 from ristrack.codebook import codebook_from_text
 from ristrack.bench import parse_csv
@@ -82,6 +88,19 @@ def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_cli_import_loads_no_oracle_or_distance_modules():
+    """Only `validate` needs scipy.stats and scipy.integrate, and no module
+    needs scipy.spatial (which pulls in scipy.sparse and scipy.linalg)."""
+    heavy = ("scipy.spatial", "scipy.sparse", "scipy.stats", "scipy.integrate")
+    src = str(Path(ristrack.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = f"import sys, ristrack.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bad_config_fails_with_diagnostic(tmp_path, capsys):

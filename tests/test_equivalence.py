@@ -56,7 +56,8 @@ def reference_scores(config, candidates, keep, x, y):
 
 
 def reference_bo_loop(env, config, rng, budget, warm_index, measure):
-    """The float-point BO loop: same contract as `tracker._bo_loop`."""
+    """The float-point BO loop: (cell, power) pairs in measurement order,
+    measured through the callback `measure(cell)`."""
     cols = env.grid.cols
     idx = np.arange(env.grid.num_cells)
     candidates = np.stack([idx // cols, idx % cols], axis=1).astype(float)
@@ -84,12 +85,13 @@ def compared_slots(monkeypatch):
     pairs = []
     production = tracker._bo_loop
 
-    def both(env, config, rng, budget, warm_index, measure, tables):
+    def both(env, config, rng, budget, warm_index, noise_rng, tables):
         ref_rng = copy.deepcopy(rng)
+        ref_noise = ref_rng if noise_rng is not None else None
         ref = reference_bo_loop(env, config, ref_rng, budget, warm_index,
-                                tracker._make_measure(env, config, ref_rng))
-        got = production(env, config, rng, budget, warm_index, measure, tables)
-        pairs.append(([k for k, _ in got], [k for k, _ in ref]))
+                                lambda k: tracker.measure(env, k, ref_noise))
+        got = production(env, config, rng, budget, warm_index, noise_rng, tables)
+        pairs.append((got[0].tolist(), [k for k, _ in ref]))
         return got
 
     monkeypatch.setattr(tracker, "_bo_loop", both)

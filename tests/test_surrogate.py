@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ristrack.surrogate import (
     DuplicatePointError,
@@ -78,9 +79,29 @@ class TestRbfKernel:
             kernel_tables(10, 10, bandwidth=0.0)
 
     def test_tables_are_shared_and_read_only(self):
-        assert kernel_tables(10, 10) is TABLES
-        with pytest.raises(ValueError):
-            TABLES.corr[0, 1] = 0.0
+        """Back-to-back calls share one copy.  The cache holds 16 grid shapes,
+        so the module's TABLES may have been evicted by other tests."""
+        tables = kernel_tables(10, 10)
+        assert kernel_tables(10, 10) is tables
+        for table in (tables.coords, tables.corr, tables.parzen):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (3, 5), (10, 10), (16, 16)])
+    def test_tables_equal_the_cdist_route_bit_for_bit(self, rows, cols):
+        build = kernel_tables.__wrapped__  # uncached: this sweep evicts no shared entry
+        idx = np.arange(rows * cols)
+        coords = np.stack([idx // cols, idx % cols], axis=1).astype(float)
+        scales = (0.1, 0.3, 1.0, 1.3, 2.0, 3.7)
+        for length_scale in scales:
+            corr = np.exp(-cdist(coords, coords, "sqeuclidean") / length_scale ** 2)
+            for bandwidth in scales:
+                scaled = coords / bandwidth
+                parzen = np.exp(-0.5 * cdist(scaled, scaled, "sqeuclidean"))
+                tables = build(rows, cols, length_scale, bandwidth)
+                assert tables.coords.tobytes() == coords.tobytes()
+                assert tables.corr.tobytes() == corr.tobytes()
+                assert tables.parzen.tobytes() == parzen.tobytes()
 
 
 class TestGpFit:

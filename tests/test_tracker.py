@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from ristrack import tracker
 
-from ristrack.bench import scenario_from_config
-from ristrack.channel import Vec3, dbm_to_watts, rsrp
+from ristrack.bench import episode_rng, scenario_from_config
+from ristrack.channel import SceneConfig, Vec3, dbm_to_watts, lin_to_db, rsrp
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.tracker import (
@@ -181,13 +181,13 @@ class TestTrackSlot:
                             collect_timing=False)
         warm_index = int(rng.integers(num_cells)) if warm else None
         measured = []
-        make_measure = tracker._make_measure
+        measure = tracker.measure
 
-        def recording(env, config, rng):
-            measure = make_measure(env, config, rng)
-            return lambda k: measured.append(k) or measure(k)
+        def recording(env, cells, noise_rng=None):
+            measured.extend(np.atleast_1d(cells).tolist())
+            return measure(env, cells, noise_rng)
 
-        with mock.patch.object(tracker, "_make_measure", recording):
+        with mock.patch.object(tracker, "measure", recording):
             r = track_slot(env, cfg, rng, warm_index=warm_index)
         assert len(set(measured)) == len(measured) == r.measurements_used == cfg.budget(num_cells)
         assert r.chosen_index in measured
@@ -211,9 +211,6 @@ def one_cell_env(signal: complex, noise_power: float) -> SlotEnv:
                    rsrp_values=np.abs(signals) ** 2, noise_power=noise_power)
 
 
-NOISY = TrackerConfig(measure_with_noise=True)
-
-
 class TestNoisyMeasure:
     """The tracker's noisy measurement |s + n|^2, n ~ CN(0, noise_power)."""
 
@@ -224,35 +221,135 @@ class TestNoisyMeasure:
         z = np.array([1.0 + 0j])
         beta = np.array([0.1, 1.2])
         signal = np.exp(1j * beta) @ (h * (H @ z))  # as build_slot_env forms it
-        measure = tracker._make_measure(one_cell_env(signal, 0.0), NOISY, rng)
-        assert measure(0) == pytest.approx(rsrp(h, beta, H, z), rel=1e-15)
+        value = tracker.measure(one_cell_env(signal, 0.0), 0, rng)
+        assert value == pytest.approx(rsrp(h, beta, H, z), rel=1e-15)
 
     def test_seeded_reproducibility(self):
         env = one_cell_env(1.0 + 0j, 1e-3)
-        draws1 = [tracker._make_measure(env, NOISY, np.random.default_rng(42))(0)
-                  for _ in range(1)]
-        draws2 = [tracker._make_measure(env, NOISY, np.random.default_rng(42))(0)
-                  for _ in range(1)]
+        draws1 = [tracker.measure(env, 0, np.random.default_rng(42)) for _ in range(1)]
+        draws2 = [tracker.measure(env, 0, np.random.default_rng(42)) for _ in range(1)]
         assert draws1 == draws2
 
     def test_two_normals_per_call_real_part_first(self):
-        """Seeded noisy outputs depend on this draw order."""
+        """Seeded noisy outputs depend on this draw order: a block of m cells
+        draws what m single-cell calls would, real part first in each."""
         sigma = np.sqrt(1e-3 / 2.0)
-        measure = tracker._make_measure(one_cell_env(1.0 + 0j, 1e-3), NOISY,
-                                        np.random.default_rng(42))
+        env = one_cell_env(1.0 + 0j, 1e-3)
+        rng = np.random.default_rng(42)
+        got = [tracker.measure(env, 0, rng) for _ in range(3)]
+        got += list(tracker.measure(env, np.zeros(3, dtype=int), rng))
         expected_rng = np.random.default_rng(42)
-        for _ in range(3):
+        for value in got:
             re, im = expected_rng.normal(0.0, sigma), expected_rng.normal(0.0, sigma)
-            assert measure(0) == pytest.approx(abs(1.0 + re + 1j * im) ** 2, rel=1e-12)
+            assert value == pytest.approx(abs(1.0 + re + 1j * im) ** 2, rel=1e-12)
 
     def test_noise_variance_monte_carlo(self):
         """Empirical variance of y - signal over 1e5 draws within 5% of sigma^2:
         with a zero signal the measured power is |n|^2."""
         rng = np.random.default_rng(2024)
         noise_power = dbm_to_watts(-120.0)
-        measure = tracker._make_measure(one_cell_env(0j, noise_power), NOISY, rng)
-        emp = np.mean([measure(0) for _ in range(100_000)])
+        emp = np.mean(tracker.measure(one_cell_env(0j, noise_power), np.zeros(100_000, dtype=int),
+                                      rng))
         assert emp == pytest.approx(noise_power, rel=0.05)
+
+    def test_without_noise_rng_returns_exact_power(self, slot_env):
+        cells = np.array([7, 3, 99])
+        np.testing.assert_array_equal(tracker.measure(slot_env, cells), slot_env.rsrp_values[cells])
+        assert tracker.measure(slot_env, 7) == slot_env.rsrp_values[7]
+
+
+def tie_env(rsrp: list[float]) -> SlotEnv:
+    signals = np.sqrt(np.array(rsrp)) + 0j
+    return SlotEnv(grid=GridMap(rows=1, cols=len(rsrp)), ue_cell=(0, 0), signals=signals,
+                   rsrp_values=np.abs(signals) ** 2, noise_power=0.0)
+
+
+class TestTieBreak:
+    def test_equal_power_cells_resolve_to_the_lower_index(self):
+        env = tie_env([1.0, 4.0, 2.0, 4.0, 3.0])
+        assert env.rsrp_values[1] == env.rsrp_values[3]
+        cfg = TrackerConfig(method=Method.ERGODIC, collect_timing=False)
+        assert track_slot(env, cfg, np.random.default_rng(0)).chosen_index == 1
+
+    def test_random_search_keeps_the_first_measured_of_a_tie(self):
+        env = tie_env([1.0, 4.0, 2.0, 4.0, 3.0])
+        cfg = TrackerConfig(method=Method.RANDOM, overhead=1.0, collect_timing=False)
+        for seed in range(20):
+            order = np.random.default_rng(seed).choice(5, size=5, replace=False).tolist()
+            first = min((order.index(1), 1), (order.index(3), 3))[1]
+            assert track_slot(env, cfg, np.random.default_rng(seed)).chosen_index == first
+
+
+def reference_make_measure(env, config, rng):
+    """The per-call measurement closure the block measurement replaced."""
+    if not config.measure_with_noise:
+        return lambda k: float(env.rsrp_values[k])
+    sigma = float(np.sqrt(env.noise_power / 2.0))
+
+    def measure(k):
+        noise = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
+        return float(np.abs(env.signals[k] + noise) ** 2)
+
+    return measure
+
+
+def reference_track_slot(env, config, rng, slot_index=1, warm_index=None):
+    """`track_slot` as it was with one measurement call per cell, each with two
+    scalar noise draws, and the first maximum kept by `max`."""
+    num_cells = env.rsrp_values.shape[0]
+    budget = config.budget(num_cells)
+    true_best = int(np.argmax(env.rsrp_values))
+    measure = reference_make_measure(env, config, rng)
+    if config.method == Method.ERGODIC:
+        measured = [(k, measure(k)) for k in range(num_cells)]
+    elif config.method == Method.RANDOM:
+        measured = [(int(k), measure(int(k)))
+                    for k in rng.choice(num_cells, size=budget, replace=False)]
+    else:
+        tables = tracker.surrogate.kernel_tables(env.grid.rows, env.grid.cols,
+                                                 config.length_scale, config.kde_bandwidth)
+        history = tracker.surrogate.ObservationHistory(num_cells)
+        measured = []
+
+        def record(k):
+            value = measure(k)
+            measured.append((k, value))
+            history.add(k, -lin_to_db(value))
+
+        record(warm_index if warm_index is not None else int(rng.integers(num_cells)))
+        gp = None
+        for _ in range(budget - 1):
+            if config.method == Method.GP_EI:
+                model = gp = tracker.surrogate.gp_fit(history, tables, gp)
+            else:
+                model = tracker.surrogate.tpe_fit(history, tables, gamma=config.gamma)
+            record(tracker.acquisition.select_next(model, history=history))
+    chosen = max(measured, key=lambda kv: kv[1])[0]
+    return tracker.SlotResult(
+        slot_index=slot_index, true_best_index=true_best, chosen_index=chosen,
+        true_best_rsrp=float(env.rsrp_values[true_best]),
+        achieved_rsrp=float(env.rsrp_values[chosen]),
+        measurements_used=len(measured), elapsed=0.0)
+
+
+@pytest.mark.parametrize("noise_dbm", [-120.0, -50.0])
+@pytest.mark.parametrize("rows, cols", [(10, 10), (1, 7), (1, 1)])
+def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, monkeypatch):
+    """Seeded noisy episodes of every method give the same slot results
+    through the block measurement as through the per-call loop."""
+    config = ExperimentConfig(grid=GridMap(rows=rows, cols=cols),
+                              scene=SceneConfig(noise_power_dbm=noise_dbm),
+                              measure_with_noise=True, collect_timing=False)
+    scenario = scenario_from_config(config)
+    for method in Method:
+        for eta, warm in ((0.2, False), (0.6, True)):
+            cfg = dataclasses.replace(config.tracker(method, eta), warm_start=warm)
+            for epoch in range(3):
+                with monkeypatch.context() as m:
+                    m.setattr(tracker, "track_slot", reference_track_slot)
+                    ref = run_episode(scenario, cfg, 1 + epoch % 2, episode_rng(803, epoch))
+                got = run_episode(scenario, cfg, 1 + epoch % 2, episode_rng(803, epoch))
+                assert got == ref
 
 
 def test_scenario_holds_the_forward_product(scenario):
