@@ -41,6 +41,15 @@ from .surrogate import (
     kernel_tables,
     tpe_fit,
 )
-from .tracker import Method, MobilityState, SlotResult, TrackerConfig, TrackingScenario, mobility_step, run_episode, track_slot
+from .tracker import (
+    Method,
+    MobilityState,
+    SlotResult,
+    TrackingScenario,
+    mobility_step,
+    run_episode,
+    slot_budget,
+    track_slot,
+)
 
 __version__ = "0.1.0"

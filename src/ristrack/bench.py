@@ -41,7 +41,7 @@ def slot_hit(result: SlotResult) -> bool:
 
 
 def compute_metrics(results: list[SlotResult], method: str, speed: int,
-                    num_cells: int = 100) -> MetricsRow:
+                    num_cells: int) -> MetricsRow:
     """Aggregate one (method, overhead, speed) cell of slot results."""
     if not results:
         raise ValueError("no slot results to aggregate")
@@ -76,11 +76,10 @@ def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
 def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
              eta: float, speed: int) -> list[SlotResult]:
     """All slot results for one table cell: `epochs` independent episodes."""
-    tracker_config = config.tracker(method, eta)
     results: list[SlotResult] = []
     for epoch in range(config.epochs):
         rng = episode_rng(config.master_seed, epoch)
-        results.extend(run_episode(scenario, tracker_config, speed, rng))
+        results.extend(run_episode(scenario, config, method, eta, speed, rng))
     return results
 
 
@@ -134,10 +133,8 @@ def parse_csv(path: str | Path) -> list[MetricsRow]:
     return rows
 
 
-def emit_trace(episode: list[SlotResult], path: str | Path,
-               grid: GridMap | None = None) -> None:
+def emit_trace(episode: list[SlotResult], path: str | Path, grid: GridMap) -> None:
     """Per-slot path trace: true-best vs. predicted cell and their powers."""
-    grid = grid or GridMap()
     lines = [TRACE_HEADER]
     for r in episode:
         true_row, true_col = grid.cell_of(r.true_best_index)

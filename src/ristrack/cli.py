@@ -68,13 +68,15 @@ def _cmd_codebook(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = _load(args)
+    method = Method(args.method)
+    # The flags go through the config's own range checks before anything is written.
+    config = dataclasses.replace(_load(args), methods=(method,), overheads=(args.overhead,),
+                                 speeds=(args.speed,))
     out = _output_dir(args, config)
     scenario = bench.scenario_from_config(config)
-    tracker_config = config.tracker(Method(args.method), args.overhead)
     rng = bench.episode_rng(config.master_seed, args.epoch)
     with single_threaded_blas():  # as in bench.run_matrix
-        episode = run_episode(scenario, tracker_config, args.speed, rng)
+        episode = run_episode(scenario, config, method, args.overhead, args.speed, rng)
     path = out / f"trace_{args.method}_eta{args.overhead:g}_s{args.speed}.csv"
     bench.emit_trace(episode, path, grid=config.grid)
     print(f"wrote {path}")

@@ -19,12 +19,12 @@ from pathlib import Path
 from . import surrogate
 from .channel import LIGHT_SPEED, ChannelModel, SceneConfig, Vec3
 from .codebook import GridMap, RisGeometry
-from .tracker import Method, TrackerConfig
+from .tracker import Method
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything the benchmark harness needs for one full run."""
+    """Everything one full run needs; every slot of the run reads its settings here."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     ris: RisGeometry | None = None  # None: half-wavelength panel for `scene`
@@ -63,20 +63,6 @@ class ExperimentConfig:
             raise ValueError("tpe_gamma must be in (0, 1)")
         if self.kde_bandwidth <= 0 or self.gp_length_scale <= 0:
             raise ValueError("kde_bandwidth and gp_length_scale must be positive")
-
-    def tracker(self, method: Method, eta: float) -> TrackerConfig:
-        """Per-slot search settings of one (method, overhead) cell of this run."""
-        return TrackerConfig(
-            method=method,
-            overhead=eta,
-            total_slots=self.total_slots,
-            warm_start=self.warm_start,
-            measure_with_noise=self.measure_with_noise,
-            gamma=self.tpe_gamma,
-            kde_bandwidth=self.kde_bandwidth,
-            length_scale=self.gp_length_scale,
-            collect_timing=self.collect_timing,
-        )
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

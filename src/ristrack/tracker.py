@@ -11,12 +11,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import acquisition, surrogate
 from .channel import SceneConfig, bs_ris_channel, lin_to_db, ris_ue_channel
 from .codebook import Codebook, GridMap, RisGeometry
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 
 class Method(str, Enum):
@@ -26,28 +30,11 @@ class Method(str, Enum):
     TPE_EI = "tpe_ei"
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    method: Method = Method.TPE_EI
-    overhead: float = 0.2          # fraction of the codebook measured per slot
-    total_slots: int = 12
-    warm_start: bool = False       # seed each slot with the previous chosen entry
-    measure_with_noise: bool = False
-    gamma: float = surrogate.DEFAULT_GAMMA
-    kde_bandwidth: float = surrogate.DEFAULT_BANDWIDTH
-    length_scale: float = surrogate.DEFAULT_LENGTH_SCALE
-    collect_timing: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.overhead <= 1.0:
-            raise ValueError("overhead must be in (0, 1]")
-        if self.total_slots < 1:
-            raise ValueError("total_slots must be >= 1")
-
-    def budget(self, num_cells: int) -> int:
-        if self.method == Method.ERGODIC:
-            return num_cells
-        return min(max(int(round(self.overhead * num_cells)), 1), num_cells)
+def slot_budget(method: Method, eta: float, num_cells: int) -> int:
+    """Measurements per slot: the whole codebook for the sweep, else eta of it (at least one)."""
+    if method == Method.ERGODIC:
+        return num_cells
+    return min(max(int(round(eta * num_cells)), 1), num_cells)
 
 
 @dataclass(frozen=True)
@@ -128,29 +115,31 @@ def build_slot_env(scenario: TrackingScenario, ue_cell: tuple[int, int]) -> Slot
                    noise_power=scenario.scene.noise_power_watts)
 
 
-def track_slot(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
-               slot_index: int = 1, warm_index: int | None = None) -> SlotResult:
+def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: float,
+               rng: np.random.Generator, slot_index: int = 1,
+               warm_index: int | None = None) -> SlotResult:
     """Run one slot of beam search and report chosen vs. true-best power."""
     num_cells = env.rsrp_values.shape[0]
-    budget = config.budget(num_cells)
+    budget = slot_budget(method, eta, num_cells)
     true_best = int(np.argmax(env.rsrp_values))
 
     noise_rng = rng if config.measure_with_noise else None
     tables = None
-    if config.method in (Method.GP_EI, Method.TPE_EI):  # cached; looked up before the timer
+    if method in (Method.GP_EI, Method.TPE_EI):  # cached; looked up before the timer
         tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,
-                                         config.length_scale, config.kde_bandwidth)
+                                         config.gp_length_scale, config.kde_bandwidth)
 
     t0 = time.perf_counter() if config.collect_timing else 0.0
 
-    if config.method == Method.ERGODIC:
+    if method == Method.ERGODIC:
         cells = np.arange(num_cells)
         values = measure(env, cells, noise_rng)
-    elif config.method == Method.RANDOM:
+    elif method == Method.RANDOM:
         cells = rng.choice(num_cells, size=budget, replace=False)
         values = measure(env, cells, noise_rng)
     else:
-        cells, values = _bo_loop(env, config, rng, budget, warm_index, noise_rng, tables)
+        cells, values = _bo_loop(env, method, config.tpe_gamma, rng, budget, warm_index,
+                                 noise_rng, tables)
 
     chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
     elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
@@ -181,7 +170,7 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
     return np.abs(env.signals[cells] + (noise[..., 0] + 1j * noise[..., 1])) ** 2
 
 
-def _bo_loop(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
+def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
              budget: int, warm_index: int | None, noise_rng: np.random.Generator | None,
              tables: surrogate.KernelTables) -> tuple[np.ndarray, list[float]]:
     """Algorithm: one initial codebook entry, then fit -> select -> measure.
@@ -203,18 +192,18 @@ def _bo_loop(env: SlotEnv, config: TrackerConfig, rng: np.random.Generator,
     record(first)
     gp = None
     for _ in range(budget - 1):
-        if config.method == Method.GP_EI:
+        if method == Method.GP_EI:
             model = gp = surrogate.gp_fit(history, tables, gp)
         else:
-            model = surrogate.tpe_fit(history, tables, gamma=config.gamma)
+            model = surrogate.tpe_fit(history, tables, gamma=gamma)
         # perfbench/spans.py reads the history from this keyword
         record(acquisition.select_next(model, history=history))
     return history.cells(), values
 
 
-def run_episode(scenario: TrackingScenario, config: TrackerConfig, speed: int,
-                rng: np.random.Generator) -> list[SlotResult]:
-    """One tracking episode: T slots of mobility + per-slot beam search.
+def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                eta: float, speed: int, rng: np.random.Generator) -> list[SlotResult]:
+    """One tracking episode: `total_slots` slots of mobility + per-slot beam search.
 
     The UE starts in a uniformly random cell and performs a reflecting random
     walk.  With warm_start the previous slot's chosen entry replaces the
@@ -229,7 +218,7 @@ def run_episode(scenario: TrackingScenario, config: TrackerConfig, speed: int,
         state = mobility_step(state, grid, rng)
         env = build_slot_env(scenario, (state.row, state.col))
         warm = prev_chosen if config.warm_start else None
-        result = track_slot(env, config, rng, slot_index=t, warm_index=warm)
+        result = track_slot(env, config, method, eta, rng, slot_index=t, warm_index=warm)
         results.append(result)
         prev_chosen = result.chosen_index
     return results

@@ -37,7 +37,7 @@ from ristrack.channel import (
 from ristrack.codebook import RisGeometry, ideal_phases, quantize_codeword
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
-from ristrack.tracker import Method, TrackerConfig, run_episode
+from ristrack.tracker import Method, run_episode
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -273,10 +273,7 @@ def _pipeline(config: ExperimentConfig, out_dir, tag: str):
     csv_path = out_dir / f"metrics_{tag}.csv"
     emit_csv(rows, csv_path)
     scenario = scenario_from_config(config)
-    tracker = TrackerConfig(method=Method.TPE_EI, overhead=0.4,
-                            total_slots=config.total_slots,
-                            collect_timing=config.collect_timing)
-    episode = run_episode(scenario, tracker, speed=1,
+    episode = run_episode(scenario, config, Method.TPE_EI, 0.4, speed=1,
                           rng=episode_rng(config.master_seed, 0))
     trace_path = out_dir / f"trace_{tag}.csv"
     emit_trace(episode, trace_path, grid=config.grid)

@@ -24,7 +24,7 @@ from ristrack.bench import (
 from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
-from ristrack.tracker import Method, SlotResult, TrackerConfig, run_episode
+from ristrack.tracker import Method, SlotResult, run_episode
 
 
 def slot(true_rsrp, achieved_rsrp, true_idx=0, chosen_idx=0, used=20, elapsed=0.01, t=1):
@@ -49,14 +49,14 @@ def small_config(**overrides):
 class TestComputeMetrics:
     def test_exact_cell_is_perfect(self):
         results = [slot(2.0, 2.0, used=100), slot(3.0, 3.0, used=100)]
-        row = compute_metrics(results, "ergodic", speed=1)
+        row = compute_metrics(results, "ergodic", speed=1, num_cells=100)
         assert row.accuracy == 1.0
         assert row.rsrp_mae_db == 0.0
         assert row.overhead == 1.0
 
     def test_single_miss(self):
         results = [slot(2.0, 1.0)]
-        row = compute_metrics(results, "random", speed=2)
+        row = compute_metrics(results, "random", speed=2, num_cells=100)
         assert row.accuracy == 0.0
         assert row.rsrp_mae_db == pytest.approx(10 * math.log10(2.0), rel=1e-12)
         assert row.speed == 2
@@ -68,7 +68,7 @@ class TestComputeMetrics:
             slot(4.0, 2.0, used=20, elapsed=0.020),   # miss, gap 3.0103 dB
             slot(8.0, 1.0, used=20, elapsed=0.030),   # miss, gap 9.0309 dB
         ]
-        row = compute_metrics(results, "tpe_ei", speed=1)
+        row = compute_metrics(results, "tpe_ei", speed=1, num_cells=100)
         assert row.accuracy == pytest.approx(1.0 / 3.0, rel=1e-12)
         gap2 = 10 * math.log10(4.0 / 2.0)
         gap3 = 10 * math.log10(8.0 / 1.0)
@@ -79,11 +79,11 @@ class TestComputeMetrics:
     def test_tie_tolerance(self):
         base = 1e-9
         results = [slot(base, base * (1 - 1e-10))]
-        assert compute_metrics(results, "x", speed=1).accuracy == 1.0
+        assert compute_metrics(results, "x", speed=1, num_cells=100).accuracy == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics([], "x", speed=1)
+            compute_metrics([], "x", speed=1, num_cells=100)
 
 
 class TestExperimentMatrix:
@@ -170,8 +170,9 @@ class TestEmission:
     def test_trace_schema_and_ergodic_exactness(self, tmp_path):
         config = small_config(methods=(Method.ERGODIC,), epochs=1)
         scenario = scenario_from_config(config)
-        cfg = TrackerConfig(method=Method.ERGODIC, total_slots=3, collect_timing=False)
-        episode = run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(5))
+        assert config.total_slots == 3 and not config.collect_timing
+        episode = run_episode(scenario, config, Method.ERGODIC, 1.0, speed=1,
+                              rng=np.random.default_rng(5))
         path = tmp_path / "trace.csv"
         emit_trace(episode, path, grid=config.grid)
         lines = path.read_text().splitlines()

@@ -130,6 +130,8 @@ def test_init_config_loads_to_run_defaults(tmp_path):
 @pytest.mark.parametrize("bad_line", [
     "speeds = 0 -3",
     "speeds = 1 0",
+    "overheads = 0",
+    "overheads = 1.5",
     "methods =",
     "total_slots = 0",
     "tpe_gamma = 1.5",
@@ -145,3 +147,31 @@ def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
     err = capsys.readouterr().err
     assert err.startswith("ristrack: error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--speed", "0"),
+    ("--speed", "-2"),
+    ("--overhead", "0"),
+    ("--overhead", "1.5"),
+])
+def test_out_of_range_trace_flags_fail_before_running(tiny_config, tmp_path, capsys, flag, value):
+    """The trace flags go through the same range checks as a config file."""
+    out = tmp_path / "o"
+    assert main(["trace", "--config", str(tiny_config), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ristrack: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(ristrack.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 12

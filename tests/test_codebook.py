@@ -35,9 +35,9 @@ from ristrack.codebook import (
     ue_direction,
 )
 from ristrack.config import ExperimentConfig
-from ristrack.tracker import Method, TrackerConfig, TrackingScenario, build_slot_env, track_slot
+from ristrack.tracker import Method, TrackingScenario, build_slot_env, track_slot
 
-ERGODIC = TrackerConfig(method=Method.ERGODIC, collect_timing=False)
+CONFIG = ExperimentConfig(collect_timing=False)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def codebook_sha256(codebook: Codebook) -> str:
 def slot_best_index(scenario, cell: int) -> int:
     """The true-best codebook index the tracker scores a slot against."""
     env = build_slot_env(scenario, scenario.grid.cell_of(cell))
-    return track_slot(env, ERGODIC, np.random.default_rng(0)).true_best_index
+    return track_slot(env, CONFIG, Method.ERGODIC, 1.0, np.random.default_rng(0)).true_best_index
 
 
 class TestGeometry:

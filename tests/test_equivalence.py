@@ -8,6 +8,7 @@ identical cell sequence.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from ristrack.bench import episode_rng, scenario_from_config
 from ristrack.channel import lin_to_db
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
-from ristrack.tracker import Method, TrackerConfig, run_episode
+from ristrack.tracker import Method, run_episode, slot_budget
+
+CONFIG = ExperimentConfig(collect_timing=False)
 
 
 def _kde(points, at, bandwidth):
@@ -32,13 +35,13 @@ def _kde(points, at, bandwidth):
     return raw / float(np.sum(raw))
 
 
-def reference_scores(config, candidates, keep, x, y):
+def reference_scores(config, method, candidates, keep, x, y):
     """Acquisition scores of the candidates[keep] from float history points x."""
     remaining = candidates[keep]
-    if config.method == Method.GP_EI:
+    if method == Method.GP_EI:
         centered = y - y.mean()
         theta1 = max(float(centered @ centered) / y.size, 1e-12)
-        scale = config.length_scale ** 2
+        scale = config.gp_length_scale ** 2
         k = theta1 * np.exp(-cdist(x, x, "sqeuclidean") / scale)
         k[np.diag_indices_from(k)] += JITTER_SCALE * theta1
         chol = cho_factor(k, lower=True, check_finite=False)
@@ -48,14 +51,14 @@ def reference_scores(config, candidates, keep, x, y):
         var = np.maximum(theta1 - np.sum(w * w, axis=0), 0.0)
         return expected_improvement(k_star.T @ alpha, var, y_star=float(y.min()))
     order = np.argsort(y, kind="stable")
-    n_good = math.ceil(config.gamma * y.size)
+    n_good = math.ceil(config.tpe_gamma * y.size)
     l = _kde(x[order[:n_good]], candidates, config.kde_bandwidth)[keep]
     g = _kde(x[order[n_good:]], candidates, config.kde_bandwidth)[keep]
     ratio = np.divide(l, g, out=np.full_like(l, np.inf), where=g > 0)
     return np.where(l > 0, ratio, 0.0)
 
 
-def reference_bo_loop(env, config, rng, budget, warm_index, measure):
+def reference_bo_loop(env, config, method, rng, budget, warm_index, measure):
     """The float-point BO loop: (cell, power) pairs in measurement order,
     measured through the callback `measure(cell)`."""
     cols = env.grid.cols
@@ -73,7 +76,7 @@ def reference_bo_loop(env, config, rng, budget, warm_index, measure):
     for _ in range(budget - 1):
         x = np.asarray(points, dtype=float)
         keep = ~(candidates[:, None, :] == x[None, :, :]).all(axis=-1).any(axis=1)
-        scores = reference_scores(config, candidates, keep, x, np.asarray(values))
+        scores = reference_scores(config, method, candidates, keep, x, np.asarray(values))
         point = candidates[keep][int(np.argmax(scores))]
         record(int(point[0]) * cols + int(point[1]))
     return measured
@@ -85,12 +88,13 @@ def compared_slots(monkeypatch):
     pairs = []
     production = tracker._bo_loop
 
-    def both(env, config, rng, budget, warm_index, noise_rng, tables):
+    def both(env, method, gamma, rng, budget, warm_index, noise_rng, tables):
         ref_rng = copy.deepcopy(rng)
         ref_noise = ref_rng if noise_rng is not None else None
-        ref = reference_bo_loop(env, config, ref_rng, budget, warm_index,
+        ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
+                                ref_rng, budget, warm_index,
                                 lambda k: tracker.measure(env, k, ref_noise))
-        got = production(env, config, rng, budget, warm_index, noise_rng, tables)
+        got = production(env, method, gamma, rng, budget, warm_index, noise_rng, tables)
         pairs.append((got[0].tolist(), [k for k, _ in ref]))
         return got
 
@@ -109,13 +113,13 @@ def scenario():
 @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
 def test_seeded_episodes_measure_identical_cells(scenario, compared_slots, method, eta,
                                                  noisy, warm_start):
-    config = TrackerConfig(method=method, overhead=eta, warm_start=warm_start,
-                           measure_with_noise=noisy, collect_timing=False)
+    config = dataclasses.replace(CONFIG, warm_start=warm_start, measure_with_noise=noisy)
     for epoch in range(2):
-        run_episode(scenario, config, speed=1 + epoch, rng=episode_rng(20240817, epoch))
+        run_episode(scenario, config, method, eta, speed=1 + epoch,
+                    rng=episode_rng(20240817, epoch))
     assert len(compared_slots) == 2 * config.total_slots
     for got, ref in compared_slots:
-        assert len(got) == config.budget(100)
+        assert len(got) == slot_budget(method, eta, 100)
         assert got == ref
 
 
@@ -141,7 +145,6 @@ def test_tpe_densities_equal_the_reference_bit_for_bit():
 def test_tied_values_break_ties_to_the_lowest_index(method):
     """A history of tied values on the main diagonal makes every cell (r, c)
     tie exactly with its mirror (c, r) in both routes: the lower index wins."""
-    config = TrackerConfig(method=method)
     tables = kernel_tables(10, 10)
     history = ObservationHistory(100)
     for cell, value in [(44, -70.0), (55, -70.0), (0, -50.0), (99, -50.0)]:
@@ -149,12 +152,12 @@ def test_tied_values_break_ties_to_the_lowest_index(method):
     if method == Method.GP_EI:
         model = gp_fit(history, tables)
     else:
-        model = tpe_fit(history, tables, gamma=config.gamma)
+        model = tpe_fit(history, tables, gamma=CONFIG.tpe_gamma)
     picked = select_next(model, history)
 
     keep = ~history.seen
-    scores = reference_scores(config, tables.coords, keep, tables.coords[history.cells()],
-                              history.values().copy())
+    scores = reference_scores(CONFIG, method, tables.coords, keep,
+                              tables.coords[history.cells()], history.values().copy())
     remaining = np.flatnonzero(keep)
     best = remaining[scores == scores.max()]
     assert len(best) >= 2 and set(best) == {10 * (k % 10) + k // 10 for k in best}

@@ -20,12 +20,14 @@ from ristrack.tracker import (
     Method,
     MobilityState,
     SlotEnv,
-    TrackerConfig,
     build_slot_env,
     mobility_step,
     run_episode,
+    slot_budget,
     track_slot,
 )
+
+CONFIG = ExperimentConfig(collect_timing=False)
 
 
 @pytest.fixture(scope="module")
@@ -114,16 +116,14 @@ def _walk(state, grid, rng, steps):
 
 class TestTrackSlot:
     def test_ergodic_is_exact(self, slot_env):
-        cfg = TrackerConfig(method=Method.ERGODIC)
-        r = track_slot(slot_env, cfg, np.random.default_rng(0))
+        r = track_slot(slot_env, CONFIG, Method.ERGODIC, 1.0, np.random.default_rng(0))
         assert r.chosen_index == r.true_best_index
         assert r.achieved_rsrp == r.true_best_rsrp
         assert r.measurements_used == 100
 
     @pytest.mark.parametrize("method", [Method.RANDOM, Method.GP_EI, Method.TPE_EI])
     def test_full_budget_is_exhaustive(self, slot_env, method):
-        cfg = TrackerConfig(method=method, overhead=1.0)
-        r = track_slot(slot_env, cfg, np.random.default_rng(1))
+        r = track_slot(slot_env, CONFIG, method, 1.0, np.random.default_rng(1))
         assert r.measurements_used == 100
         assert r.chosen_index == r.true_best_index
         assert r.achieved_rsrp == r.true_best_rsrp
@@ -131,8 +131,8 @@ class TestTrackSlot:
     @pytest.mark.parametrize("method", [Method.RANDOM, Method.GP_EI, Method.TPE_EI])
     @pytest.mark.parametrize("eta", [0.2, 0.6])
     def test_budget_and_bounds(self, slot_env, method, eta):
-        cfg = TrackerConfig(method=method, overhead=eta)
-        r = track_slot(slot_env, cfg, np.random.default_rng(7))
+        timed = ExperimentConfig(collect_timing=True)
+        r = track_slot(slot_env, timed, method, eta, np.random.default_rng(7))
         assert r.measurements_used == round(eta * 100)
         assert r.achieved_rsrp <= r.true_best_rsrp
         assert r.elapsed >= 0.0
@@ -141,12 +141,11 @@ class TestTrackSlot:
         """P(chosen = true best) for uniform sampling is exactly eta; check
         the 3-sigma binomial band over 1000 slots."""
         eta = 0.2
-        cfg = TrackerConfig(method=Method.RANDOM, overhead=eta, collect_timing=False)
         rng = np.random.default_rng(11)
         n = 1000
         hits = 0
         for _ in range(n):
-            r = track_slot(slot_env, cfg, rng)
+            r = track_slot(slot_env, CONFIG, Method.RANDOM, eta, rng)
             hits += r.chosen_index == r.true_best_index
         sigma = np.sqrt(eta * (1 - eta) / n)
         assert abs(hits / n - eta) <= 3 * sigma
@@ -154,13 +153,12 @@ class TestTrackSlot:
     def test_bo_methods_use_exact_budget(self, slot_env):
         # distinctness is structural: the history raises on duplicates
         for method in (Method.GP_EI, Method.TPE_EI):
-            cfg = TrackerConfig(method=method, overhead=0.3)
-            r = track_slot(slot_env, cfg, np.random.default_rng(13))
+            r = track_slot(slot_env, CONFIG, method, 0.3, np.random.default_rng(13))
             assert r.measurements_used == 30
 
     def test_noisy_measurement_mode_runs(self, slot_env):
-        cfg = TrackerConfig(method=Method.TPE_EI, overhead=0.2, measure_with_noise=True)
-        r = track_slot(slot_env, cfg, np.random.default_rng(17))
+        cfg = dataclasses.replace(CONFIG, measure_with_noise=True)
+        r = track_slot(slot_env, cfg, Method.TPE_EI, 0.2, np.random.default_rng(17))
         # achieved/true are still the noiseless comparison quantities
         assert r.achieved_rsrp <= r.true_best_rsrp
 
@@ -177,8 +175,7 @@ class TestTrackSlot:
         signals = rng.normal(size=num_cells) + 1j * rng.normal(size=num_cells)
         env = SlotEnv(grid=GridMap(rows=rows, cols=cols), ue_cell=(0, 0), signals=signals,
                       rsrp_values=np.abs(signals) ** 2, noise_power=1.0)
-        cfg = TrackerConfig(method=method, overhead=eta, measure_with_noise=noisy,
-                            collect_timing=False)
+        cfg = dataclasses.replace(CONFIG, measure_with_noise=noisy)
         warm_index = int(rng.integers(num_cells)) if warm else None
         measured = []
         measure = tracker.measure
@@ -188,21 +185,22 @@ class TestTrackSlot:
             return measure(env, cells, noise_rng)
 
         with mock.patch.object(tracker, "measure", recording):
-            r = track_slot(env, cfg, rng, warm_index=warm_index)
-        assert len(set(measured)) == len(measured) == r.measurements_used == cfg.budget(num_cells)
+            r = track_slot(env, cfg, method, eta, rng, warm_index=warm_index)
+        assert (len(set(measured)) == len(measured) == r.measurements_used
+                == slot_budget(method, eta, num_cells))
         assert r.chosen_index in measured
         assert r.achieved_rsrp <= r.true_best_rsrp
 
     def test_budget_rounding(self):
-        assert TrackerConfig(method=Method.RANDOM, overhead=0.2).budget(100) == 20
-        assert TrackerConfig(method=Method.RANDOM, overhead=0.005).budget(100) == 1
-        assert TrackerConfig(method=Method.ERGODIC, overhead=0.2).budget(100) == 100
+        assert slot_budget(Method.RANDOM, 0.2, 100) == 20
+        assert slot_budget(Method.RANDOM, 0.005, 100) == 1
+        assert slot_budget(Method.ERGODIC, 0.2, 100) == 100
 
     def test_invalid_overhead_rejected(self):
         with pytest.raises(ValueError):
-            TrackerConfig(method=Method.RANDOM, overhead=0.0)
+            ExperimentConfig(methods=(Method.RANDOM,), overheads=(0.0,))
         with pytest.raises(ValueError):
-            TrackerConfig(method=Method.RANDOM, overhead=1.2)
+            ExperimentConfig(methods=(Method.RANDOM,), overheads=(1.2,))
 
 
 def one_cell_env(signal: complex, noise_power: float) -> SlotEnv:
@@ -268,16 +266,15 @@ class TestTieBreak:
     def test_equal_power_cells_resolve_to_the_lower_index(self):
         env = tie_env([1.0, 4.0, 2.0, 4.0, 3.0])
         assert env.rsrp_values[1] == env.rsrp_values[3]
-        cfg = TrackerConfig(method=Method.ERGODIC, collect_timing=False)
-        assert track_slot(env, cfg, np.random.default_rng(0)).chosen_index == 1
+        assert track_slot(env, CONFIG, Method.ERGODIC, 1.0, np.random.default_rng(0)).chosen_index == 1
 
     def test_random_search_keeps_the_first_measured_of_a_tie(self):
         env = tie_env([1.0, 4.0, 2.0, 4.0, 3.0])
-        cfg = TrackerConfig(method=Method.RANDOM, overhead=1.0, collect_timing=False)
         for seed in range(20):
             order = np.random.default_rng(seed).choice(5, size=5, replace=False).tolist()
             first = min((order.index(1), 1), (order.index(3), 3))[1]
-            assert track_slot(env, cfg, np.random.default_rng(seed)).chosen_index == first
+            r = track_slot(env, CONFIG, Method.RANDOM, 1.0, np.random.default_rng(seed))
+            assert r.chosen_index == first
 
 
 def reference_make_measure(env, config, rng):
@@ -293,21 +290,21 @@ def reference_make_measure(env, config, rng):
     return measure
 
 
-def reference_track_slot(env, config, rng, slot_index=1, warm_index=None):
+def reference_track_slot(env, config, method, eta, rng, slot_index=1, warm_index=None):
     """`track_slot` as it was with one measurement call per cell, each with two
     scalar noise draws, and the first maximum kept by `max`."""
     num_cells = env.rsrp_values.shape[0]
-    budget = config.budget(num_cells)
+    budget = slot_budget(method, eta, num_cells)
     true_best = int(np.argmax(env.rsrp_values))
     measure = reference_make_measure(env, config, rng)
-    if config.method == Method.ERGODIC:
+    if method == Method.ERGODIC:
         measured = [(k, measure(k)) for k in range(num_cells)]
-    elif config.method == Method.RANDOM:
+    elif method == Method.RANDOM:
         measured = [(int(k), measure(int(k)))
                     for k in rng.choice(num_cells, size=budget, replace=False)]
     else:
         tables = tracker.surrogate.kernel_tables(env.grid.rows, env.grid.cols,
-                                                 config.length_scale, config.kde_bandwidth)
+                                                 config.gp_length_scale, config.kde_bandwidth)
         history = tracker.surrogate.ObservationHistory(num_cells)
         measured = []
 
@@ -319,10 +316,10 @@ def reference_track_slot(env, config, rng, slot_index=1, warm_index=None):
         record(warm_index if warm_index is not None else int(rng.integers(num_cells)))
         gp = None
         for _ in range(budget - 1):
-            if config.method == Method.GP_EI:
+            if method == Method.GP_EI:
                 model = gp = tracker.surrogate.gp_fit(history, tables, gp)
             else:
-                model = tracker.surrogate.tpe_fit(history, tables, gamma=config.gamma)
+                model = tracker.surrogate.tpe_fit(history, tables, gamma=config.tpe_gamma)
             record(tracker.acquisition.select_next(model, history=history))
     chosen = max(measured, key=lambda kv: kv[1])[0]
     return tracker.SlotResult(
@@ -343,12 +340,14 @@ def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, 
     scenario = scenario_from_config(config)
     for method in Method:
         for eta, warm in ((0.2, False), (0.6, True)):
-            cfg = dataclasses.replace(config.tracker(method, eta), warm_start=warm)
+            cfg = dataclasses.replace(config, warm_start=warm)
             for epoch in range(3):
                 with monkeypatch.context() as m:
                     m.setattr(tracker, "track_slot", reference_track_slot)
-                    ref = run_episode(scenario, cfg, 1 + epoch % 2, episode_rng(803, epoch))
-                got = run_episode(scenario, cfg, 1 + epoch % 2, episode_rng(803, epoch))
+                    ref = run_episode(scenario, cfg, method, eta, 1 + epoch % 2,
+                                      episode_rng(803, epoch))
+                got = run_episode(scenario, cfg, method, eta, 1 + epoch % 2,
+                                  episode_rng(803, epoch))
                 assert got == ref
 
 
@@ -358,41 +357,42 @@ def test_scenario_holds_the_forward_product(scenario):
 
 class TestRunEpisode:
     def test_single_slot_episode(self, scenario):
-        cfg = TrackerConfig(method=Method.ERGODIC, total_slots=1)
-        results = run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(0))
+        cfg = dataclasses.replace(CONFIG, total_slots=1)
+        results = run_episode(scenario, cfg, Method.ERGODIC, 1.0, speed=1,
+                              rng=np.random.default_rng(0))
         assert len(results) == 1
         assert results[0].slot_index == 1
 
     def test_default_length_is_twelve(self, scenario):
-        cfg = TrackerConfig(method=Method.RANDOM, overhead=0.2, collect_timing=False)
-        results = run_episode(scenario, cfg, speed=2, rng=np.random.default_rng(1))
+        results = run_episode(scenario, CONFIG, Method.RANDOM, 0.2, speed=2,
+                              rng=np.random.default_rng(1))
         assert [r.slot_index for r in results] == list(range(1, 13))
 
     @pytest.mark.parametrize("method", list(Method))
     def test_fixed_seed_reproduces_episode(self, scenario, method):
-        cfg = TrackerConfig(method=method, overhead=0.2, collect_timing=False)
-        a = run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(23))
-        b = run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(23))
+        a = run_episode(scenario, CONFIG, method, 0.2, speed=1, rng=np.random.default_rng(23))
+        b = run_episode(scenario, CONFIG, method, 0.2, speed=1, rng=np.random.default_rng(23))
         assert a == b  # bit-identical dataclasses, elapsed pinned to 0.0
 
     def test_achieved_never_exceeds_true_best(self, scenario):
         for method in (Method.RANDOM, Method.GP_EI, Method.TPE_EI):
-            cfg = TrackerConfig(method=method, overhead=0.4, collect_timing=False)
-            for r in run_episode(scenario, cfg, speed=2, rng=np.random.default_rng(29)):
+            for r in run_episode(scenario, CONFIG, method, 0.4, speed=2,
+                                 rng=np.random.default_rng(29)):
                 assert r.achieved_rsrp <= r.true_best_rsrp
 
     def test_warm_start_seeds_with_previous_choice(self, scenario):
-        cfg = TrackerConfig(method=Method.TPE_EI, overhead=0.2, warm_start=True,
-                            collect_timing=False)
-        results = run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(31))
+        cfg = dataclasses.replace(CONFIG, warm_start=True)
+        results = run_episode(scenario, cfg, Method.TPE_EI, 0.2, speed=1,
+                              rng=np.random.default_rng(31))
         assert len(results) == 12
         assert all(r.measurements_used == 20 for r in results)
 
     def test_warm_start_changes_the_search(self, scenario):
-        base = TrackerConfig(method=Method.TPE_EI, overhead=0.2, collect_timing=False)
-        warm = dataclasses.replace(base, warm_start=True)
-        a = run_episode(scenario, base, speed=1, rng=np.random.default_rng(37))
-        b = run_episode(scenario, warm, speed=1, rng=np.random.default_rng(37))
+        warm = dataclasses.replace(CONFIG, warm_start=True)
+        a = run_episode(scenario, CONFIG, Method.TPE_EI, 0.2, speed=1,
+                        rng=np.random.default_rng(37))
+        b = run_episode(scenario, warm, Method.TPE_EI, 0.2, speed=1,
+                        rng=np.random.default_rng(37))
         assert a != b
 
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
@@ -418,9 +418,9 @@ class TestRunEpisode:
             count(tracker.surrogate, name)
         for name in ("select_next", "gp_posterior", "expected_improvement"):
             count(tracker.acquisition, name)
-        cfg = TrackerConfig(method=method, overhead=0.2, total_slots=3, collect_timing=False)
-        run_episode(scenario, cfg, speed=1, rng=np.random.default_rng(41))
-        steps = 3 * (cfg.budget(100) - 1)
+        cfg = dataclasses.replace(CONFIG, total_slots=3)
+        run_episode(scenario, cfg, method, 0.2, speed=1, rng=np.random.default_rng(41))
+        steps = 3 * (slot_budget(method, 0.2, 100) - 1)
         fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
         want = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3, "track_slot": 3,
                 fit: steps, "select_next": steps}
