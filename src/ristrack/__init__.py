@@ -7,7 +7,7 @@ surrogates with expected-improvement selection, the per-slot tracking loop,
 and a benchmark harness with a CLI.
 """
 
-from .acquisition import CandidatesExhausted, expected_improvement, select_next, tpe_score
+from .acquisition import CandidatesExhausted, expected_improvement, select_next
 from .bench import MetricsRow, compute_metrics, emit_csv, emit_trace, run_experiment
 from .channel import (
     ChannelModel,
@@ -17,18 +17,15 @@ from .channel import (
     bs_ris_channel,
     dbm_to_watts,
     ris_ue_channel,
-    rsrp,
     uniform_transmit_signal,
 )
 from .codebook import (
     Codebook,
-    Codeword,
     GridMap,
     RisGeometry,
     build_codebook,
     ideal_phases,
     quantize_codeword,
-    ue_direction,
 )
 from .config import ExperimentConfig, load_config, parse_config_text
 from .surrogate import (

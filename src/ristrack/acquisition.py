@@ -50,26 +50,14 @@ def expected_improvement(mean, variance, y_star):
     return float(ei) if ei.ndim == 0 else ei
 
 
-def tpe_score(l_x, g_x, gamma: float):
-    """(gamma + (g/l)*(1-gamma))^-1: monotone increasing in l/g; 0 when l = 0."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
-    l_x = np.asarray(l_x, dtype=float)
-    g_x = np.asarray(g_x, dtype=float)
-    if np.any(l_x < 0) or np.any(g_x < 0):
-        raise ValueError("densities must be nonnegative")
-    with np.errstate(divide="ignore"):
-        ratio = np.where(l_x > 0, g_x / np.where(l_x > 0, l_x, 1.0), np.inf)
-        score = np.where(np.isinf(ratio), 0.0, 1.0 / (gamma + ratio * (1.0 - gamma)))
-    return float(score) if score.ndim == 0 else score
-
-
 def _density_ratio(l_x: np.ndarray, g_x: np.ndarray) -> np.ndarray:
-    """l/g ranking used for selection: the exact order behind tpe_score.
+    """l/g, the TPE selection score.
 
-    The score saturates in float64 once (g/l)*(1-gamma) drops below the
-    epsilon of gamma, collapsing distinct candidates to ties; the raw ratio
-    orders them exactly.  l = 0 scores 0; g = 0 with l > 0 scores +inf.
+    The paper's score (gamma + (g/l)*(1-gamma))^-1 is monotone increasing in
+    l/g, so both rank candidates alike.  But that score saturates in float64
+    once (g/l)*(1-gamma) drops below the epsilon of gamma, collapsing
+    distinct candidates to ties; the raw ratio orders them exactly.  l = 0
+    scores 0; g = 0 with l > 0 scores +inf.
     """
     ratio = np.divide(l_x, g_x, out=np.full_like(l_x, np.inf), where=g_x > 0)
     return np.where(l_x > 0, ratio, 0.0)

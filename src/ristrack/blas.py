@@ -1,16 +1,20 @@
 """BLAS thread control for the beam search.
 
-The search makes many small dense calls (matvecs and Cholesky solves of at
-most 100 x 100).  At that size OpenBLAS's default of one thread per core
-spends more on handing work between threads than it saves, and on a small
-machine the two bundled copies (one in the numpy wheel, one in the scipy
-wheel) make the search two to three times slower than on one thread.
+The search's BLAS calls are small matrix-vector products: per slot one
+(cells x N) complex product for the power of every codeword, and per GP
+step one vector times an (n x cells) block to extend the factor; there is
+no solve.  At that size a second thread buys nothing.  On a 2-core machine
+(10-epoch cells, one- and two-thread repeats alternating in one process,
+medians of 8 and of 16 pairs) two threads changed the time of ergodic cells
+by -1% and +6%, of random cells by +3% to +16%, and of GP-EI and TPE-EI
+cells by -8% to +9% with no consistent sign.
 
-`single_threaded_blas` runs a block with both copies on one thread and puts
-the previous counts back afterwards.  The standard OPENBLAS_NUM_THREADS and
-OMP_NUM_THREADS variables override it: when either is set, the counts are
-left as found.  Where no bundled copy is found (say, numpy built against a
-system BLAS) the scope does nothing.
+`single_threaded_blas` runs a block with the OpenBLAS copies bundled in the
+numpy and scipy wheels on one thread and puts the previous counts back.
+The standard OPENBLAS_NUM_THREADS and OMP_NUM_THREADS variables override
+it: when either is set, the counts are left as found.  Where no bundled
+copy is found (say, numpy built against a system BLAS) the scope does
+nothing.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Physical layer: scene geometry, BS->RIS and RIS->UE channels, and the
-received-power objective that every beam-search method queries.
+"""Physical layer: scene geometry and the BS->RIS and RIS->UE channels that
+`tracker.build_slot_env` combines into every codeword's received power.
 
 All channel coefficients are narrowband complex gains.  Free-space entries
 carry an amplitude of lambda/(4*pi*d) and a propagation phase of
@@ -128,38 +128,3 @@ def ris_ue_channel(scene: SceneConfig, ris: "RisGeometry", ue_position: Vec3) ->
     elems = ris.element_positions()
     dist = np.linalg.norm(elems - ue_position.as_array()[None, :], axis=-1)
     return _complex_gain(dist, scene.wavelength, scene.channel_model)
-
-
-def _codeword_phases(codeword) -> np.ndarray:
-    phases = getattr(codeword, "phases", codeword)
-    return np.asarray(phases, dtype=float)
-
-
-def rsrp(h: np.ndarray, codeword, H: np.ndarray, z: np.ndarray) -> float:
-    """Noiseless received power |h^H W H z|^2, W = diag(exp(j*beta)), for one
-    phase configuration.
-
-    `codeword` may be a Codeword or a raw array of per-element phases in
-    radians.  This scalar form is the oracle for the vectorized per-slot
-    powers of `tracker.build_slot_env`; noise enters only in the tracker's
-    measurements.
-    """
-    h = np.asarray(h, dtype=complex)
-    H = np.asarray(H, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    beta = _codeword_phases(codeword)
-    if H.ndim != 2:
-        raise ValueError("channel matrix must be 2-D")
-    n, m = H.shape
-    if h.shape != (n,) or beta.shape != (n,) or z.shape != (m,):
-        raise ValueError(
-            f"dimension mismatch: h{h.shape}, beta{beta.shape}, H{H.shape}, z{z.shape}"
-        )
-    return abs(complex(np.sum(h * np.exp(1j * beta) * (H @ z)))) ** 2
-
-
-def coherent_bound(h: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
-    """Upper bound (sum_i |h_i|*|(Hz)_i|)^2 attained by perfect phase alignment."""
-    h = np.asarray(h, dtype=complex)
-    forward = np.asarray(H, dtype=complex) @ np.asarray(z, dtype=complex)
-    return float(np.sum(np.abs(h) * np.abs(forward))) ** 2

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import bench
 from .blas import single_threaded_blas
-from .codebook import write_codebook
+from .codebook import codebook_to_text
 from .config import DEFAULT_CONFIG_TEXT, ExperimentConfig, load_config
 from .tracker import Method, run_episode
 
@@ -61,15 +61,17 @@ def _cmd_codebook(args) -> int:
     out = _output_dir(args, config)
     scenario = bench.scenario_from_config(config)
     path = out / "codebook.txt"
-    with open(path, "w") as fh:
-        write_codebook(scenario.codebook, fh)
+    path.write_text(codebook_to_text(scenario.codebook))
     print(f"wrote {path} ({len(scenario.codebook)} entries)")
     return 0
 
 
 def _cmd_trace(args) -> int:
     method = Method(args.method)
-    # The flags go through the config's own range checks before anything is written.
+    # Every flag is checked before anything is written: --epoch here, the
+    # others by the config's own range checks.
+    if args.epoch < 0:
+        raise ValueError("--epoch must be >= 0")
     config = dataclasses.replace(_load(args), methods=(method,), overheads=(args.overhead,),
                                  speeds=(args.speed,))
     out = _output_dir(args, config)

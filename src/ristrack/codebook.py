@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class RisGeometry:
     def num_elements(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def num_phase_levels(self) -> int:
-        return 2 ** self.phase_bits
-
     def element_positions(self) -> np.ndarray:
         """(N, 3) element coordinates, row-major (x along cols, y along rows).
 
@@ -72,23 +68,6 @@ class RisGeometry:
             pos.flags.writeable = False
             object.__setattr__(self, "_positions", pos)  # frozen: cache only
         return self._positions
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """One codebook entry: N quantized phase indices, beta = 2*pi*idx/2**bits."""
-
-    phase_indices: tuple
-    phase_bits: int = 2
-
-    def __post_init__(self):
-        levels = 2 ** self.phase_bits
-        if any((not 0 <= i < levels) for i in self.phase_indices):
-            raise ValueError(f"phase index out of range for {self.phase_bits} bits")
-
-    @property
-    def phases(self) -> np.ndarray:
-        return np.asarray(self.phase_indices, dtype=float) * (TWO_PI / 2 ** self.phase_bits)
 
 
 @dataclass(frozen=True)
@@ -134,54 +113,27 @@ class GridMap:
             self.cell_height,
         )
 
-    def cell_centers(self) -> np.ndarray:
-        return np.array([self.cell_center(k).as_array() for k in range(self.num_cells)])
-
 
 @dataclass
 class Codebook:
-    """Per-cell codewords plus the RIS layout they were quantized for."""
+    """Per-cell codewords plus the RIS layout they were quantized for.
 
-    entries: list[Codeword]
+    Row k of `indices` is cell k's codeword: N phase indices, element i set
+    to beta_i = 2*pi*indices[k, i]/2**phase_bits.  `phasors` holds
+    exp(j*beta) for every entry, computed once.
+    """
+
+    indices: np.ndarray  # (cells, N) int
     ris_rows: int
     ris_cols: int
     phase_bits: int
-    _phasors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    phasors: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.phasors = np.exp(1j * (TWO_PI / 2 ** self.phase_bits) * self.indices)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def unit_phasors(self) -> np.ndarray:
-        """(num_entries, N) matrix of exp(j*beta), cached."""
-        if self._phasors is None:
-            step = TWO_PI / 2 ** self.phase_bits
-            idx = np.array([cw.phase_indices for cw in self.entries], dtype=float)
-            self._phasors = np.exp(1j * step * idx)
-        return self._phasors
-
-
-class Direction(NamedTuple):
-    theta: float
-    phi: float
-    on_axis: bool
-
-
-def ue_direction(ue_position: Vec3) -> Direction:
-    """Pitch/azimuth of a UE seen from the RIS at the frame origin.
-
-    theta = arctan(sqrt(x^2+y^2)/z) in [0, pi/2]; phi is the quadrant-aware
-    azimuth in [0, 2*pi).  A UE on the boresight axis has no defined azimuth:
-    phi = 0 is returned with on_axis set.
-    """
-    x, y, z = ue_position.x, ue_position.y, ue_position.z
-    if z <= 0:
-        raise ValueError("UE must be on the positive-z side of the RIS")
-    rho = math.hypot(x, y)
-    theta = math.atan(rho / z)
-    if rho == 0.0:
-        return Direction(theta=theta, phi=0.0, on_axis=True)
-    phi = math.atan2(y, x) % TWO_PI
-    return Direction(theta=theta, phi=phi, on_axis=False)
+        return len(self.indices)
 
 
 def ideal_phases(scene: SceneConfig, ris: RisGeometry, target: Vec3) -> np.ndarray:
@@ -204,11 +156,12 @@ def quantize_codeword(
     continuous_phases: Sequence[float],
     bits: int = 2,
     weights: Sequence[float] | None = None,
-) -> Codeword:
+) -> np.ndarray:
     """Quantize continuous phases to 2**bits levels via a reference-phase sweep.
 
-    For each global offset rho in [0, step), every phase is rounded to the
-    nearest level of (phase + rho); the rounding with the largest coherent sum
+    Returns the codeword as N phase indices in [0, 2**bits).  For each global
+    offset rho in [0, step), every phase is rounded to the nearest level of
+    (phase + rho); the rounding with the largest coherent sum
     |sum_i w_i exp(j(beta_i - phase_i))| wins (smallest rho on ties).  The
     rounding changes only where some phase + rho crosses a level midpoint, so
     the midpoints of the at most N+1 intervals between those breakpoints visit
@@ -235,57 +188,22 @@ def quantize_codeword(
     if w is not None:
         misfit = w * misfit
     total = misfit[patterns, np.arange(phases.size)].sum(axis=1)
-    best = patterns[int(np.argmax(np.hypot(total.real, total.imag)))]
-    return Codeword(phase_indices=tuple(int(i) for i in best), phase_bits=bits)
+    # A copy, so the (K, N) pattern matrix is freed with this call.
+    return patterns[int(np.argmax(np.hypot(total.real, total.imag)))].copy()
 
 
 def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap) -> Codebook:
     """One quantized codeword per grid cell, aimed at the cell center."""
-    entries = [
+    indices = np.array([
         quantize_codeword(ideal_phases(scene, ris, grid.cell_center(k)), bits=ris.phase_bits)
         for k in range(grid.num_cells)
-    ]
-    return Codebook(entries=entries, ris_rows=ris.rows, ris_cols=ris.cols,
+    ])
+    return Codebook(indices=indices, ris_rows=ris.rows, ris_cols=ris.cols,
                     phase_bits=ris.phase_bits)
 
 
-def write_codebook(codebook: Codebook, stream: TextIO) -> None:
-    """Plain-text serialization: header `rows cols bits`, then `k idx...` lines."""
-    stream.write(f"{codebook.ris_rows} {codebook.ris_cols} {codebook.phase_bits}\n")
-    for k, cw in enumerate(codebook.entries):
-        stream.write(f"{k} " + " ".join(str(i) for i in cw.phase_indices) + "\n")
-
-
 def codebook_to_text(codebook: Codebook) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_codebook(codebook, buf)
-    return buf.getvalue()
-
-
-def read_codebook(stream: TextIO) -> Codebook:
-    header = stream.readline().split()
-    if len(header) != 3:
-        raise ValueError("malformed codebook header (want `rows cols bits`)")
-    rows, cols, bits = (int(v) for v in header)
-    n = rows * cols
-    entries = []
-    for line in stream:
-        parts = line.split()
-        if not parts:
-            continue
-        k = int(parts[0])
-        if k != len(entries):
-            raise ValueError(f"entry index {k} out of order")
-        indices = tuple(int(v) for v in parts[1:])
-        if len(indices) != n:
-            raise ValueError(f"entry {k} has {len(indices)} indices, expected {n}")
-        entries.append(Codeword(phase_indices=indices, phase_bits=bits))
-    return Codebook(entries=entries, ris_rows=rows, ris_cols=cols, phase_bits=bits)
-
-
-def codebook_from_text(text: str) -> Codebook:
-    import io
-
-    return read_codebook(io.StringIO(text))
+    """Plain-text serialization: header `rows cols bits`, then `k idx...` lines."""
+    lines = [f"{codebook.ris_rows} {codebook.ris_cols} {codebook.phase_bits}"]
+    lines += [f"{k} " + " ".join(map(str, row)) for k, row in enumerate(codebook.indices.tolist())]
+    return "\n".join(lines) + "\n"

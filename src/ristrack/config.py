@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("total_slots must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not 0.0 < self.tpe_gamma < 1.0:
             raise ValueError("tpe_gamma must be in (0, 1)")
         if self.kde_bandwidth <= 0 or self.gp_length_scale <= 0:

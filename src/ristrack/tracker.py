@@ -85,12 +85,11 @@ class TrackingScenario:
     grid: GridMap
     codebook: Codebook
     z: np.ndarray
-    bs_ris: np.ndarray | None = field(default=None, repr=False)
+    bs_ris: np.ndarray = field(init=False, repr=False)
     forward: np.ndarray = field(init=False, repr=False)  # bs_ris @ z, per RIS element
 
     def __post_init__(self):
-        if self.bs_ris is None:
-            self.bs_ris = bs_ris_channel(self.scene, self.ris)
+        self.bs_ris = bs_ris_channel(self.scene, self.ris)
         self.forward = self.bs_ris @ self.z
 
 
@@ -99,7 +98,6 @@ class SlotEnv:
     """One slot's frozen radio environment, ready for repeated measurements."""
 
     grid: GridMap
-    ue_cell: tuple[int, int]
     signals: np.ndarray        # complex received sample per codebook entry
     rsrp_values: np.ndarray    # |signals|^2
     noise_power: float
@@ -109,8 +107,8 @@ def build_slot_env(scenario: TrackingScenario, ue_cell: tuple[int, int]) -> Slot
     ue = scenario.grid.cell_center(scenario.grid.index_of(*ue_cell))
     h = ris_ue_channel(scenario.scene, scenario.ris, ue)
     cascade = h * scenario.forward
-    signals = scenario.codebook.unit_phasors() @ cascade
-    return SlotEnv(grid=scenario.grid, ue_cell=ue_cell, signals=signals,
+    signals = scenario.codebook.phasors @ cascade
+    return SlotEnv(grid=scenario.grid, signals=signals,
                    rsrp_values=np.abs(signals) ** 2,
                    noise_power=scenario.scene.noise_power_watts)
 

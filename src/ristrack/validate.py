@@ -30,8 +30,8 @@ def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
         n = int(rng.integers(2, max_elements + 1))
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
         weights = rng.uniform(0.2, 1.0, size=n)
-        cw = quantize_codeword(phases, bits=bits, weights=weights)
-        achieved = abs(np.sum(weights * np.exp(1j * (cw.phases - phases))))
+        beta = quantize_codeword(phases, bits=bits, weights=weights) * step
+        achieved = abs(np.sum(weights * np.exp(1j * (beta - phases))))
         best = max(
             abs(np.sum(weights * np.exp(1j * (np.array(combo) * step - phases))))
             for combo in itertools.product(range(levels), repeat=n)

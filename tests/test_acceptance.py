@@ -31,13 +31,14 @@ from ristrack.channel import (
     Vec3,
     bs_ris_channel,
     ris_ue_channel,
-    rsrp,
     uniform_transmit_signal,
 )
 from ristrack.codebook import RisGeometry, ideal_phases, quantize_codeword
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
 from ristrack.tracker import Method, run_episode
+
+from oracles import rsrp
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -256,7 +257,7 @@ def test_criterion_8_codebook_optimality_small_n():
         phases = ideal_phases(scene, ris, target)
         weights = np.abs(h) * np.abs(H @ z)
         cw = quantize_codeword(phases, bits=2, weights=weights)
-        achieved = rsrp(h, cw, H, z)
+        achieved = rsrp(h, cw * step, H, z)
         best = max(
             rsrp(h, np.array(combo, dtype=float) * step, H, z)
             for combo in itertools.product(range(4), repeat=n)

@@ -1,5 +1,6 @@
 """Acquisition tests: closed-form EI against numerical quadrature, the
-density-ratio score arithmetic, and selection determinism/exclusion rules.
+density-ratio score against the paper's TPE score, and selection
+determinism/exclusion rules.
 """
 
 import math
@@ -11,9 +12,9 @@ from scipy.stats import norm
 
 from ristrack.acquisition import (
     CandidatesExhausted,
+    _density_ratio,
     expected_improvement,
     select_next,
-    tpe_score,
 )
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
 
@@ -121,29 +122,44 @@ class TestExpectedImprovementEdgeInputs:
                 expected_improvement(mean, var, 2.0)
 
 
+def paper_score(ratio, gamma):
+    """The paper's TPE score (gamma + (g/l)*(1-gamma))^-1 as a function of l/g."""
+    return 1.0 / (gamma + (1.0 - gamma) / ratio)
+
+
 class TestTpeScore:
+    """Selection ranks by l/g, which orders candidates as the paper's score does."""
+
     def test_zero_bad_density_is_maximal(self):
-        assert tpe_score(0.3, 0.0, 0.25) == pytest.approx(4.0, rel=1e-15)
+        ratio = _density_ratio(np.array([0.3, 0.3]), np.array([0.0, 0.1]))
+        assert ratio[0] == np.inf and ratio[0] > ratio[1]
+        assert paper_score(ratio[0], 0.25) == pytest.approx(4.0, rel=1e-15)
 
     def test_equal_densities_score_one(self):
+        ratio = _density_ratio(np.array([0.4]), np.array([0.4]))[0]
+        assert ratio == 1.0
         for gamma in (0.1, 0.25, 0.7):
-            assert tpe_score(0.4, 0.4, gamma) == pytest.approx(1.0, rel=1e-15)
+            assert paper_score(ratio, gamma) == pytest.approx(1.0, rel=1e-15)
 
     def test_ratio_three_at_quarter_gamma(self):
         """gamma = 0.25, g/l = 3 -> 1/(0.25 + 2.25) = 0.4."""
-        assert tpe_score(0.1, 0.3, 0.25) == pytest.approx(0.4, rel=1e-12)
+        ratio = _density_ratio(np.array([0.1]), np.array([0.3]))[0]
+        assert paper_score(ratio, 0.25) == pytest.approx(0.4, rel=1e-12)
 
     def test_zero_good_density_scores_zero(self):
-        assert tpe_score(0.0, 0.5, 0.25) == 0.0
+        assert _density_ratio(np.array([0.0, 0.0]), np.array([0.5, 0.0])).tolist() == [0.0, 0.0]
 
     def test_strictly_increasing_in_ratio(self):
         ratios = np.linspace(0.01, 100, 500)
-        scores = tpe_score(ratios, np.ones_like(ratios), 0.25)
+        scores = _density_ratio(ratios, np.ones_like(ratios))
         assert np.all(np.diff(scores) > 0)
+        assert np.all(np.diff(paper_score(scores, 0.25)) > 0)
 
     def test_bad_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            tpe_score(0.1, 0.1, 0.0)
+        history = history_from([(0, 1.0), (1, 2.0)])
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                tpe_fit(history, TABLES, gamma=gamma)
 
 
 class TestSelectNext:

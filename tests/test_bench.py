@@ -3,6 +3,7 @@ CSV/trace emission and round trips, matrix shape, and seeded determinism.
 """
 
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -25,6 +26,10 @@ from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
 from ristrack.tracker import Method, SlotResult, run_episode
+
+# sha256 of `metrics.csv` for the default config with epochs = 5 and
+# collect_timing = false.
+SEEDED_METRICS_SHA256 = "e8208c391dd5c30dcfd182ee57611eecd4978d327b27a469d8007c42070c8f64"
 
 
 def slot(true_rsrp, achieved_rsrp, true_idx=0, chosen_idx=0, used=20, elapsed=0.01, t=1):
@@ -137,6 +142,14 @@ class TestExperimentMatrix:
             accuracy.append(run_experiment(noisy)[0].accuracy)
         assert accuracy[0] >= 0.9
         assert accuracy[0] - accuracy[1] >= 0.15 and accuracy[1] - accuracy[2] >= 0.15, accuracy
+
+    def test_seeded_metrics_csv_is_pinned(self, tmp_path):
+        """The default matrix at 5 epochs, timing off, writes the very bytes
+        every earlier version wrote: no seeded pick may move unannounced."""
+        config = dataclasses.replace(ExperimentConfig(), epochs=5, collect_timing=False)
+        path = tmp_path / "metrics.csv"
+        emit_csv(run_experiment(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_METRICS_SHA256
 
 
 class TestEmission:

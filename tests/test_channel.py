@@ -15,13 +15,13 @@ from ristrack.channel import (
     SceneConfig,
     Vec3,
     bs_ris_channel,
-    coherent_bound,
     dbm_to_watts,
     ris_ue_channel,
-    rsrp,
     uniform_transmit_signal,
 )
 from ristrack.codebook import RisGeometry
+
+from oracles import coherent_bound, rsrp
 
 
 def make_scene(**kwargs):

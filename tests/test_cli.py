@@ -11,8 +11,8 @@ import pytest
 
 import ristrack
 from ristrack.cli import OUTPUT_DIR_ENV, main
-from ristrack.codebook import codebook_from_text
-from ristrack.bench import parse_csv
+from ristrack.bench import parse_csv, scenario_from_config
+from ristrack.codebook import codebook_to_text
 from ristrack.config import ExperimentConfig, load_config
 
 TINY_CONFIG = """\
@@ -71,8 +71,9 @@ def test_flag_beats_env_var(tiny_config, tmp_path, monkeypatch):
 def test_codebook_command_round_trips(tiny_config, tmp_path):
     out = tmp_path / "cb"
     assert main(["codebook", "--config", str(tiny_config), "--out", str(out)]) == 0
-    parsed = codebook_from_text((out / "codebook.txt").read_text())
-    assert len(parsed) == 100
+    text = (out / "codebook.txt").read_text()
+    assert text == codebook_to_text(scenario_from_config(load_config(tiny_config)).codebook)
+    assert len(text.splitlines()) == 1 + 100
 
 
 def test_trace_command(tiny_config, tmp_path):
@@ -134,6 +135,8 @@ def test_init_config_loads_to_run_defaults(tmp_path):
     "overheads = 1.5",
     "methods =",
     "total_slots = 0",
+    "epochs = 0",
+    "master_seed = -1",
     "tpe_gamma = 1.5",
     "tpe_gamma = 0",
     "gp_length_scale = 0",
@@ -154,6 +157,8 @@ def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
     ("--speed", "-2"),
     ("--overhead", "0"),
     ("--overhead", "1.5"),
+    ("--epoch", "-1"),
+    ("--seed", "-1"),
 ])
 def test_out_of_range_trace_flags_fail_before_running(tiny_config, tmp_path, capsys, flag, value):
     """The trace flags go through the same range checks as a config file."""

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from ristrack import tracker
 
 from ristrack.bench import episode_rng, scenario_from_config
-from ristrack.channel import SceneConfig, Vec3, dbm_to_watts, lin_to_db, rsrp
+from ristrack.channel import SceneConfig, Vec3, dbm_to_watts, lin_to_db
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.tracker import (
@@ -26,6 +26,8 @@ from ristrack.tracker import (
     slot_budget,
     track_slot,
 )
+
+from oracles import rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -173,7 +175,7 @@ class TestTrackSlot:
         rng = np.random.default_rng(seed)
         num_cells = rows * cols
         signals = rng.normal(size=num_cells) + 1j * rng.normal(size=num_cells)
-        env = SlotEnv(grid=GridMap(rows=rows, cols=cols), ue_cell=(0, 0), signals=signals,
+        env = SlotEnv(grid=GridMap(rows=rows, cols=cols), signals=signals,
                       rsrp_values=np.abs(signals) ** 2, noise_power=1.0)
         cfg = dataclasses.replace(CONFIG, measure_with_noise=noisy)
         warm_index = int(rng.integers(num_cells)) if warm else None
@@ -205,7 +207,7 @@ class TestTrackSlot:
 
 def one_cell_env(signal: complex, noise_power: float) -> SlotEnv:
     signals = np.array([signal])
-    return SlotEnv(grid=GridMap(rows=1, cols=1), ue_cell=(0, 0), signals=signals,
+    return SlotEnv(grid=GridMap(rows=1, cols=1), signals=signals,
                    rsrp_values=np.abs(signals) ** 2, noise_power=noise_power)
 
 
@@ -258,7 +260,7 @@ class TestNoisyMeasure:
 
 def tie_env(rsrp: list[float]) -> SlotEnv:
     signals = np.sqrt(np.array(rsrp)) + 0j
-    return SlotEnv(grid=GridMap(rows=1, cols=len(rsrp)), ue_cell=(0, 0), signals=signals,
+    return SlotEnv(grid=GridMap(rows=1, cols=len(rsrp)), signals=signals,
                    rsrp_values=np.abs(signals) ** 2, noise_power=0.0)
 
 
