@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import single_threaded_blas
 from .channel import lin_to_db, uniform_transmit_signal
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
@@ -84,17 +83,12 @@ def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Metho
 
 
 def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list[SlotResult]]:
-    """Raw slot results for every cell, keyed by (method, overhead, speed).
-
-    The whole run uses one BLAS thread unless the environment sets one
-    (see `blas.single_threaded_blas`).
-    """
-    with single_threaded_blas():
-        scenario = scenario_from_config(config)
-        return {
-            (method, eta, speed): run_cell(scenario, config, method, eta, speed)
-            for method, eta, speed in experiment_cells(config)
-        }
+    """Raw slot results for every cell, keyed by (method, overhead, speed)."""
+    scenario = scenario_from_config(config)
+    return {
+        (method, eta, speed): run_cell(scenario, config, method, eta, speed)
+        for method, eta, speed in experiment_cells(config)
+    }
 
 
 def rows_from_matrix(config: ExperimentConfig,

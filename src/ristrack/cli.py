@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import bench
-from .blas import single_threaded_blas
 from .codebook import codebook_to_text
 from .config import DEFAULT_CONFIG_TEXT, ExperimentConfig, load_config
 from .tracker import Method, run_episode
@@ -27,12 +26,23 @@ from .tracker import Method, run_episode
 OUTPUT_DIR_ENV = "RISTRACK_OUTPUT_DIR"
 
 
+# flag -> the config key it sets; a list key gets the one value typed
+_FLAG_KEYS = {"seed": "master_seed", "epochs": "epochs", "overhead": "overheads",
+              "speed": "speeds"}
+
+
 def _load(args) -> ExperimentConfig:
+    """The config file (or the defaults) with each typed flag applied; a rejected one is named."""
     config = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
-    if getattr(args, "epochs", None) is not None:
-        config = dataclasses.replace(config, epochs=args.epochs)
+    for flag, key in _FLAG_KEYS.items():
+        typed = getattr(args, flag, None)
+        if typed is None:
+            continue
+        value = (typed,) if isinstance(getattr(config, key), tuple) else typed
+        try:
+            config = dataclasses.replace(config, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"--{flag} {typed}: {exc}") from None
     return config
 
 
@@ -72,13 +82,11 @@ def _cmd_trace(args) -> int:
     # others by the config's own range checks.
     if args.epoch < 0:
         raise ValueError("--epoch must be >= 0")
-    config = dataclasses.replace(_load(args), methods=(method,), overheads=(args.overhead,),
-                                 speeds=(args.speed,))
+    config = dataclasses.replace(_load(args), methods=(method,))
     out = _output_dir(args, config)
     scenario = bench.scenario_from_config(config)
     rng = bench.episode_rng(config.master_seed, args.epoch)
-    with single_threaded_blas():  # as in bench.run_matrix
-        episode = run_episode(scenario, config, method, args.overhead, args.speed, rng)
+    episode = run_episode(scenario, config, method, args.overhead, args.speed, rng)
     path = out / f"trace_{args.method}_eta{args.overhead:g}_s{args.speed}.csv"
     bench.emit_trace(episode, path, grid=config.grid)
     print(f"wrote {path}")

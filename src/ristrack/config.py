@@ -49,8 +49,13 @@ class ExperimentConfig:
         if self.ris is None or getattr(self.ris, "_of_scene", False):
             self.ris = RisGeometry.for_scene(self.scene)
             object.__setattr__(self.ris, "_of_scene", True)
-        if not self.methods:
-            raise ValueError("methods must name at least one method")
+        # The run lists key the result table, so each entry must appear once.
+        for key in ("methods", "overheads", "speeds"):
+            values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key} must name at least one value")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat an entry")
         if not all(0.0 < eta <= 1.0 for eta in self.overheads):
             raise ValueError("every overhead must be in (0, 1]")
         if not all(speed >= 1 for speed in self.speeds):

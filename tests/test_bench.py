@@ -5,11 +5,15 @@ CSV/trace emission and round trips, matrix shape, and seeded determinism.
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ristrack
 from ristrack.bench import (
     MetricsRow,
     compute_metrics,
@@ -150,6 +154,20 @@ class TestExperimentMatrix:
         path = tmp_path / "metrics.csv"
         emit_csv(run_experiment(config), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_METRICS_SHA256
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_thread_count_leaves_seeded_csv_pinned(self, tmp_path, threads):
+        """The run uses the BLAS library's own thread count, set here by
+        OPENBLAS_NUM_THREADS before numpy loads; the same pinned bytes come out."""
+        (tmp_path / "run.cfg").write_text("epochs = 5\ncollect_timing = false\n")
+        src = str(Path(ristrack.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "ristrack.cli", "run", "--config",
+                        str(tmp_path / "run.cfg"), "--out", str(tmp_path)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        csv = (tmp_path / "metrics.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == SEEDED_METRICS_SHA256
 
 
 class TestEmission:

@@ -134,6 +134,11 @@ def test_init_config_loads_to_run_defaults(tmp_path):
     "overheads = 0",
     "overheads = 1.5",
     "methods =",
+    "overheads =",
+    "speeds =",
+    "speeds = 1 1",
+    "overheads = 0.2 0.2",
+    "methods = random random",
     "total_slots = 0",
     "epochs = 0",
     "master_seed = -1",
@@ -159,13 +164,25 @@ def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
     ("--overhead", "1.5"),
     ("--epoch", "-1"),
     ("--seed", "-1"),
+    ("--epochs", "0"),
 ])
 def test_out_of_range_trace_flags_fail_before_running(tiny_config, tmp_path, capsys, flag, value):
-    """The trace flags go through the same range checks as a config file."""
+    """The trace flags go through the same range checks as a config file,
+    and the error names the flag that was typed."""
     out = tmp_path / "o"
     assert main(["trace", "--config", str(tiny_config), "--out", str(out), flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ristrack: error:") and err.count("\n") == 1
+    assert flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--epochs", "0")])
+def test_out_of_range_run_flags_name_the_flag(tiny_config, tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ristrack: error: {flag} {value}:") and err.count("\n") == 1
     assert not out.exists()
 
 
