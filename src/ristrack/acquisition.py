@@ -30,15 +30,17 @@ def expected_improvement(mean, variance, y_star):
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    lowest = np.fmin.reduce(variance, axis=None, initial=0.0)  # skips NaN; 0 when empty
-    if lowest < -1e-10:
-        raise ValueError(f"negative variance: {lowest}")
-    sigma = np.sqrt(np.maximum(variance, 0.0))
     improvement = y_star - mean
-    if np.minimum.reduce(sigma, axis=None, initial=np.inf) > 0:  # np.all(sigma > 0)
+    # np.all(variance > 0), as np.minimum propagates NaN: no check or clamp needed
+    if np.minimum.reduce(variance, axis=None, initial=np.inf) > 0:
+        sigma = np.sqrt(variance)
         u = improvement / sigma
         ei = improvement * ndtr(u) + sigma * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
     else:
+        lowest = np.fmin.reduce(variance, axis=None, initial=0.0)  # skips NaN; 0 when empty
+        if lowest < -1e-10:
+            raise ValueError(f"negative variance: {lowest}")
+        sigma = np.sqrt(np.maximum(variance, 0.0))
         u = np.where(sigma > 0, improvement / np.where(sigma > 0, sigma, 1.0), 0.0)
         phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
         ei = np.where(
@@ -59,7 +61,8 @@ def _density_ratio(l_x: np.ndarray, g_x: np.ndarray) -> np.ndarray:
     distinct candidates to ties; the raw ratio orders them exactly.  l = 0
     scores 0; g = 0 with l > 0 scores +inf.
     """
-    ratio = np.divide(l_x, g_x, out=np.full_like(l_x, np.inf), where=g_x > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # g = 0: l/0 = inf, 0/0 = NaN
+        ratio = l_x / g_x
     return np.where(l_x > 0, ratio, 0.0)
 
 
@@ -70,14 +73,15 @@ def select_next(model, history: ObservationHistory) -> int:
     models use the density-ratio score.  Raises CandidatesExhausted once the
     history covers every cell.
     """
-    remaining = (~history.seen).nonzero()[0]
-    if remaining.size == 0:
+    if len(history) == history.seen.size:
         raise CandidatesExhausted("all candidates measured")
     if isinstance(model, GpModel):
+        remaining = (~history.seen).nonzero()[0]
         mean, var = gp_posterior(model, remaining)
-        scores = expected_improvement(mean, var, y_star=float(history.values().min()))
-    elif isinstance(model, TpeModel):
-        scores = _density_ratio(model.l[remaining], model.g[remaining])
-    else:
-        raise TypeError(f"unsupported surrogate model: {type(model).__name__}")
-    return int(remaining[scores.argmax()])
+        scores = expected_improvement(mean, var, y_star=float(history.best))
+        return int(remaining[scores.argmax()])
+    if isinstance(model, TpeModel):
+        scores = _density_ratio(model.l, model.g)  # exact per cell: mask, don't gather
+        scores[history.seen] = -np.inf
+        return int(scores.argmax())
+    raise TypeError(f"unsupported surrogate model: {type(model).__name__}")

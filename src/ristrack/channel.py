@@ -70,8 +70,10 @@ class SceneConfig:
     channel_model: ChannelModel = ChannelModel.FREE_SPACE
 
     def __post_init__(self):
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be positive")
+        if not 0.0 < self.carrier_frequency < math.inf:
+            raise ValueError("carrier_frequency must be positive and finite")
+        if not math.isfinite(self.noise_power_dbm):
+            raise ValueError("noise_power_dbm must be finite")
         if self.num_bs_antennas < 1:
             raise ValueError("need at least one BS antenna")
 
@@ -99,8 +101,15 @@ def uniform_transmit_signal(num_antennas: int) -> np.ndarray:
     return np.full(num_antennas, 1.0 / math.sqrt(num_antennas), dtype=complex)
 
 
+def distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a - b, axis=-1) bit for bit: for a real difference norm
+    computes this sum of squares, after a conj() copy and argument handling."""
+    d = a - b
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
 def _complex_gain(dist: np.ndarray, wavelength: float, model: ChannelModel) -> np.ndarray:
-    if np.any(dist <= 0.0):
+    if not dist.min() > 0.0:  # one reduction; also catches NaN
         raise DegenerateGeometryError("coincident points give a zero propagation distance")
     if model == ChannelModel.FREE_SPACE:
         amplitude = wavelength / (4.0 * np.pi * dist)
@@ -119,12 +128,11 @@ def bs_ris_channel(scene: SceneConfig, ris: "RisGeometry") -> np.ndarray:
     """
     elems = ris.element_positions()                      # (N, 3)
     ants = scene.bs_antenna_positions()                  # (M, 3)
-    dist = np.linalg.norm(elems[:, None, :] - ants[None, :, :], axis=-1)
+    dist = distance(elems[:, None, :], ants[None, :, :])
     return _complex_gain(dist, scene.wavelength, scene.channel_model)
 
 
 def ris_ue_channel(scene: SceneConfig, ris: "RisGeometry", ue_position: Vec3) -> np.ndarray:
     """RIS->UE channel row vector h^H, shape (N,)."""
-    elems = ris.element_positions()
-    dist = np.linalg.norm(elems - ue_position.as_array()[None, :], axis=-1)
+    dist = distance(ris.element_positions(), ue_position.as_array())
     return _complex_gain(dist, scene.wavelength, scene.channel_model)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DegenerateGeometryError, SceneConfig, Vec3
+from .channel import DegenerateGeometryError, SceneConfig, Vec3, distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +37,8 @@ class RisGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("RIS needs at least one element")
-        if self.element_spacing <= 0:
-            raise ValueError("element_spacing must be positive")
+        if not 0.0 < self.element_spacing < math.inf:
+            raise ValueError("element_spacing must be positive and finite")
         if self.phase_bits < 1:
             raise ValueError("phase_bits must be >= 1")
 
@@ -88,8 +88,10 @@ class GridMap:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid needs at least one cell")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0.0 < self.cell_size < math.inf:
+            raise ValueError("cell_size must be positive and finite")
+        if not math.isfinite(self.cell_height):
+            raise ValueError("cell_height must be finite")
 
     @property
     def num_cells(self) -> int:
@@ -104,6 +106,13 @@ class GridMap:
         if not 0 <= index < self.num_cells:
             raise ValueError(f"cell index {index} out of range")
         return divmod(index, self.cols)
+
+    def cell_centers(self) -> np.ndarray:
+        """(num_cells, 3) array whose row k is `cell_center(k)`, the same floats."""
+        row, col = np.divmod(np.arange(self.num_cells), self.cols)
+        return np.stack([self.origin.x + (col + 0.5) * self.cell_size,
+                         self.origin.y + (row + 0.5) * self.cell_size,
+                         np.full(self.num_cells, self.cell_height)], axis=1)
 
     def cell_center(self, index: int) -> Vec3:
         row, col = self.cell_of(index)
@@ -136,18 +145,19 @@ class Codebook:
         return len(self.indices)
 
 
-def ideal_phases(scene: SceneConfig, ris: RisGeometry, target: Vec3) -> np.ndarray:
+def ideal_phases(scene: SceneConfig, ris: RisGeometry, target: Vec3 | np.ndarray) -> np.ndarray:
     """Continuous per-element phases that align the cascaded path at `target`.
 
     Element i should apply beta_i = (2*pi/lambda)*(d1_i + d2_i) mod 2*pi,
     which cancels the BS->element->target propagation phase.  With multiple
-    BS antennas the incident distance d1_i is taken to antenna 0.
+    BS antennas the incident distance d1_i is taken to antenna 0.  A (K, 3)
+    array of targets gives (K, N) phases, row k as for target k alone.
     """
     elems = ris.element_positions()
-    reference = scene.bs_antenna_positions()[0]
-    d1 = np.linalg.norm(elems - reference[None, :], axis=-1)
-    d2 = np.linalg.norm(elems - target.as_array()[None, :], axis=-1)
-    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
+    points = target.as_array() if isinstance(target, Vec3) else np.asarray(target, dtype=float)
+    d1 = distance(elems, scene.bs_antenna_positions()[0])
+    d2 = distance(elems, points[..., None, :])
+    if not (d1.min() > 0.0 and d2.min() > 0.0):
         raise DegenerateGeometryError("target or BS coincides with an RIS element")
     return (TWO_PI / scene.wavelength) * (d1 + d2) % TWO_PI
 
@@ -180,24 +190,26 @@ def quantize_codeword(
     breaks = np.unique((step / 2.0 - phases) % step)
     edges = np.concatenate(([0.0], breaks, [step]))
     rho = np.unique((edges[:-1] + edges[1:]) / 2.0)
-    patterns = np.floor((phases + rho[:, None]) / step + 0.5).astype(int) % levels
+    rounded = (phases + rho[:, None]) / step + 0.5
+    # Every entry is >= 0 and levels is a power of two, so & wraps like %.
+    patterns = np.floor(rounded, out=rounded).astype(np.intp)
+    patterns &= levels - 1
     # misfit[l, i] = w_i exp(j(l*step - phase_i)); np.hypot rounds each score
     # exactly like the scalar abs(), which np.abs on the array does not, and
     # an ulp decides between rotation-equivalent patterns.
     misfit = np.exp(1j * (np.arange(levels)[:, None] * step - phases))
     if w is not None:
         misfit = w * misfit
-    total = misfit[patterns, np.arange(phases.size)].sum(axis=1)
+    # misfit[patterns[k, i], i] for every k, i, as one flat gather
+    total = misfit.take(patterns * phases.size + np.arange(phases.size)).sum(axis=1)
     # A copy, so the (K, N) pattern matrix is freed with this call.
     return patterns[int(np.argmax(np.hypot(total.real, total.imag)))].copy()
 
 
 def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap) -> Codebook:
     """One quantized codeword per grid cell, aimed at the cell center."""
-    indices = np.array([
-        quantize_codeword(ideal_phases(scene, ris, grid.cell_center(k)), bits=ris.phase_bits)
-        for k in range(grid.num_cells)
-    ])
+    phases = ideal_phases(scene, ris, grid.cell_centers())
+    indices = np.array([quantize_codeword(row, bits=ris.phase_bits) for row in phases])
     return Codebook(indices=indices, ris_rows=ris.rows, ris_cols=ris.cols,
                     phase_bits=ris.phase_bits)
 

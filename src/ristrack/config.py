@@ -12,6 +12,7 @@ are all derived from it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -68,8 +69,10 @@ class ExperimentConfig:
             raise ValueError("master_seed must be >= 0")
         if not 0.0 < self.tpe_gamma < 1.0:
             raise ValueError("tpe_gamma must be in (0, 1)")
-        if self.kde_bandwidth <= 0 or self.gp_length_scale <= 0:
-            raise ValueError("kde_bandwidth and gp_length_scale must be positive")
+        if not 0.0 < self.kde_bandwidth < math.inf:
+            raise ValueError("kde_bandwidth must be positive and finite")
+        if not 0.0 < self.gp_length_scale < math.inf:
+            raise ValueError("gp_length_scale must be positive and finite")
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -77,6 +77,7 @@ class ObservationHistory:
         self._cells = np.empty(num_cells, dtype=np.intp)
         self._values = np.empty(num_cells, dtype=float)
         self.seen = np.zeros(num_cells, dtype=bool)
+        self.best = math.inf  # values().min() once a value is added, NaN included
         self._n = 0
 
     def add(self, cell: int, value: float) -> None:
@@ -85,6 +86,8 @@ class ObservationHistory:
         self.seen[cell] = True
         self._cells[self._n] = cell
         self._values[self._n] = value
+        if value < self.best or value != value:
+            self.best = value
         self._n += 1
 
     def __len__(self) -> int:
@@ -137,11 +140,13 @@ class GpModel:
         if not pivot_sq > 0.0:
             raise GpConditioningError(f"kernel matrix not positive definite: pivot^2 = {pivot_sq}")
         pivot = math.sqrt(pivot_sq)
-        self.w[n] = (self.tables.corr[cell] - row @ self.w[:n]) / pivot
-        self.beta[n] = (value - row @ self.beta[:n]) / pivot
         w_new = self.w[n]
+        # np.dot: the BLAS call of `@` without the matmul ufunc's dispatch
+        np.subtract(self.tables.corr[cell], np.dot(row, self.w[:n]), out=w_new)
+        w_new /= pivot
+        beta = self.beta[n] = (value - np.dot(row, self.beta[:n])) / pivot
         self.w_sq += w_new * w_new
-        self.mean += self.beta[n] * w_new
+        self.mean += beta * w_new
         self.n = n + 1
 
 
@@ -164,8 +169,8 @@ def gp_fit(history: ObservationHistory, tables: KernelTables,
     cells, y = history.cells(), history.values()
     for i in range(model.n, n):
         model._append(int(cells[i]), float(y[i]))
-    centered = y - y.sum() / n  # bit-identical to y - y.mean()
-    model.theta1 = max(float(centered @ centered) / n, 1e-12)
+    centered = y - np.add.reduce(y) / n  # bit-identical to y - y.mean()
+    model.theta1 = max(float(np.dot(centered, centered)) / n, 1e-12)
     return model
 
 
@@ -182,10 +187,13 @@ def gp_posterior(model: GpModel, cells=None) -> tuple[np.ndarray, np.ndarray]:
     else:
         mean, w_sq = model.mean[cells], model.w_sq[cells]
     var = model.theta1 * (1.0 - w_sq)
-    lowest = np.fmin.reduce(var, axis=None, initial=0.0)  # skips NaN; 0 when empty
-    if lowest < -1e-10:
-        raise GpConditioningError(f"negative posterior variance: {lowest}")
-    return mean, np.maximum(var, 0.0)
+    # np.minimum propagates NaN: only a negative or NaN entry needs the check and clamp
+    if not np.minimum.reduce(var, axis=None, initial=np.inf) >= 0.0:
+        lowest = np.fmin.reduce(var, axis=None, initial=0.0)  # skips NaN
+        if lowest < -1e-10:
+            raise GpConditioningError(f"negative posterior variance: {lowest}")
+        var = np.maximum(var, 0.0)
+    return mean, var
 
 
 @dataclass(eq=False)
@@ -208,8 +216,9 @@ def _parzen_density(kernel: np.ndarray) -> tuple[np.ndarray, bool]:
     num_cells, k = kernel.shape
     if k == 0:
         return np.full(num_cells, 1.0 / num_cells), True
-    raw = kernel.sum(axis=1) / k  # kernel.mean(axis=1) bit for bit, without its dispatch
-    return raw / raw.sum(), False
+    raw = np.add.reduce(kernel, axis=1) / k  # kernel.mean(axis=1) bit for bit, without its dispatch
+    raw /= np.add.reduce(raw)
+    return raw, False
 
 
 def tpe_fit(history: ObservationHistory, tables: KernelTables,
@@ -227,7 +236,7 @@ def tpe_fit(history: ObservationHistory, tables: KernelTables,
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     values = history.values()
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     n_good = math.ceil(gamma * n)
     ranked = history.cells()[order]
     # One C-ordered gather: each row of either side is contiguous, so its sum

@@ -8,6 +8,7 @@ optimization loops (GP + expected improvement, TPE + density-ratio score).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import acquisition, surrogate
-from .channel import SceneConfig, bs_ris_channel, lin_to_db, ris_ue_channel
+from .channel import SceneConfig, bs_ris_channel, ris_ue_channel
 from .codebook import Codebook, GridMap, RisGeometry
 
 if TYPE_CHECKING:
@@ -164,8 +165,9 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
     if noise_rng is None:
         return env.rsrp_values[cells]
     sigma = float(np.sqrt(env.noise_power / 2.0))
-    noise = noise_rng.normal(0.0, sigma, size=np.shape(cells) + (2,))
-    return np.abs(env.signals[cells] + (noise[..., 0] + 1j * noise[..., 1])) ** 2
+    noise = noise_rng.normal(0.0, sigma, size=np.shape(cells) + (2,)).view(complex)[..., 0]
+    noise += env.signals[cells]
+    return np.abs(noise) ** 2
 
 
 def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
@@ -184,7 +186,7 @@ def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generato
     def record(k: int) -> None:
         value = measure(env, k, noise_rng)
         values.append(value)
-        history.add(k, -lin_to_db(value))
+        history.add(k, -10.0 * math.log10(max(value, 1e-300)))  # -lin_to_db(value), on a scalar
 
     first = warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0]))
     record(first)

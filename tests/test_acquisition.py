@@ -4,6 +4,7 @@ determinism/exclusion rules.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ class TestTpeScore:
         scores = _density_ratio(ratios, np.ones_like(ratios))
         assert np.all(np.diff(scores) > 0)
         assert np.all(np.diff(paper_score(scores, 0.25)) > 0)
+
+    @pytest.mark.parametrize("l_x, g_x, want", [
+        ([0.0], [0.0], [0.0]),
+        ([0.2], [0.0], [np.inf]),
+        ([0.0], [0.3], [0.0]),
+        ([0.0, 0.2, 0.0, 0.6, 1e-300], [0.0, 0.0, 0.5, 0.3, 1e-10],
+         [0.0, np.inf, 0.0, 0.6 / 0.3, 1e-300 / 1e-10]),
+    ], ids=["both-zero", "bad-zero", "good-zero", "mixed"])
+    def test_zero_densities_score_as_before_without_warnings(self, l_x, g_x, want):
+        """l = g = 0 scores 0, l > 0 = g scores +inf, l = 0 < g scores 0, and no
+        division warning escapes."""
+        l_x, g_x = np.array(l_x), np.array(g_x)
+        reference = np.where(l_x > 0, np.divide(l_x, g_x, out=np.full_like(l_x, np.inf),
+                                                where=g_x > 0), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _density_ratio(l_x, g_x)
+        assert got.tobytes() == reference.tobytes() == np.array(want).tobytes()
 
     def test_bad_gamma_rejected(self):
         history = history_from([(0, 1.0), (1, 2.0)])

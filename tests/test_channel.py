@@ -16,10 +16,11 @@ from ristrack.channel import (
     Vec3,
     bs_ris_channel,
     dbm_to_watts,
+    distance,
     ris_ue_channel,
     uniform_transmit_signal,
 )
-from ristrack.codebook import RisGeometry
+from ristrack.codebook import GridMap, RisGeometry
 
 from oracles import coherent_bound, rsrp
 
@@ -136,6 +137,26 @@ def test_degenerate_geometry_raises():
                             origin=Vec3(0.0, 0.0, 0.5))
     with pytest.raises(DegenerateGeometryError):
         bs_ris_channel(scene, ris_at_bs)
+
+
+@pytest.mark.parametrize("scene, ris", [
+    (SceneConfig(), RisGeometry()),
+    (SceneConfig(), RisGeometry(rows=16, cols=16)),
+    (SceneConfig(), RisGeometry(rows=1, cols=1)),
+    (SceneConfig(carrier_frequency=28e9), RisGeometry.for_scene(SceneConfig(carrier_frequency=28e9))),
+], ids=["default", "16x16", "1x1", "28GHz"])
+def test_distance_is_linalg_norm_byte_for_byte(scene, ris):
+    """The channel and codebook distances equal np.linalg.norm(a - b, axis=-1)
+    exactly: every cell centre of the default grid and both BS antennas
+    against every element, one point at a time and all points at once."""
+    elems = ris.element_positions()
+    points = np.vstack([GridMap().cell_centers(),
+                        SceneConfig(num_bs_antennas=2).bs_antenna_positions()])
+    for point in points:
+        got = distance(elems, point)
+        assert got.tobytes() == np.linalg.norm(elems - point[None, :], axis=-1).tobytes()
+    pairs = (elems[None, :, :], points[:, None, :])
+    assert distance(*pairs).tobytes() == np.linalg.norm(pairs[0] - pairs[1], axis=-1).tobytes()
 
 
 class TestRsrp:

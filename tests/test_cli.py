@@ -13,7 +13,7 @@ import ristrack
 from ristrack.cli import OUTPUT_DIR_ENV, main
 from ristrack.bench import parse_csv, scenario_from_config
 from ristrack.codebook import codebook_to_text
-from ristrack.config import ExperimentConfig, load_config
+from ristrack.config import KEYS, ExperimentConfig, load_config
 
 TINY_CONFIG = """\
 methods = ergodic random
@@ -146,6 +146,16 @@ def test_init_config_loads_to_run_defaults(tmp_path):
     "tpe_gamma = 0",
     "gp_length_scale = 0",
     "kde_bandwidth = -1",
+    "kde_bandwidth = nan",
+    "kde_bandwidth = inf",
+    "gp_length_scale = inf",
+    "gp_length_scale = nan",
+    "carrier_frequency_hz = nan",
+    "element_spacing_m = inf",
+    "noise_power_dbm = nan",
+    "noise_power_dbm = inf",
+    "cell_size_m = nan",
+    "cell_height_m = nan",
 ])
 def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
     bad = tmp_path / "bad.cfg"
@@ -154,6 +164,20 @@ def test_out_of_range_config_fails_before_running(tmp_path, capsys, bad_line):
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ristrack: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["carrier_frequency_hz", "noise_power_dbm", "element_spacing_m",
+                                 "cell_size_m", "cell_height_m", "kde_bandwidth",
+                                 "gp_length_scale"])
+def test_non_finite_config_number_is_rejected_by_name(tmp_path, capsys, key, value):
+    """The error names the field the key sets, before any output is made."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG + f"measure_with_noise = true\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    assert KEYS[key][1] in capsys.readouterr().err
     assert not out.exists()
 
 

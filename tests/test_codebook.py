@@ -197,6 +197,21 @@ class TestIdealPhases:
             assert phases[i] == pytest.approx((2 * math.pi / lam) * (d1 + d2) % (2 * math.pi),
                                               abs=1e-9)
 
+    @pytest.mark.parametrize("grid", [GridMap(), GridMap(rows=3, cols=7, cell_size=0.5)],
+                             ids=["default", "3x7"])
+    def test_array_of_targets_equals_one_call_per_target(self, table1, grid):
+        scene, ris, _ = table1
+        rows = ideal_phases(scene, ris, grid.cell_centers())
+        assert rows.shape == (grid.num_cells, ris.num_elements)
+        for k in range(grid.num_cells):
+            assert rows[k].tobytes() == ideal_phases(scene, ris, grid.cell_center(k)).tobytes()
+
+    def test_cell_centers_match_cell_center(self):
+        grid = GridMap(rows=3, cols=7, cell_size=0.37, origin=Vec3(-1.1, 0.3, 0.0))
+        centers = grid.cell_centers()
+        for k in range(grid.num_cells):
+            assert centers[k].tobytes() == grid.cell_center(k).as_array().tobytes()
+
     def test_applying_ideal_phases_attains_coherent_bound(self):
         scene = SceneConfig(num_bs_antennas=1)
         ris = RisGeometry(rows=3, cols=3, element_spacing=0.026)

@@ -51,6 +51,14 @@ class TestObservationHistory:
         np.testing.assert_array_equal(h.values(), [3.0, -1.0, 0.5])
         np.testing.assert_array_equal(np.flatnonzero(h.seen), [1, 10, 22])
 
+    def test_running_best_is_the_minimum_after_every_add(self):
+        rng = np.random.default_rng(23)
+        values = rng.integers(-8, 8, size=100).astype(float) * 0.5  # many repeats
+        h = ObservationHistory(100)
+        for cell, value in zip(rng.permutation(100), values):
+            h.add(int(cell), float(value))
+            assert h.best == h.values().min()
+
 
 class TestRbfKernel:
     """The RBF correlation table; the GP kernel is theta1 times it."""
