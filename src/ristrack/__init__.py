@@ -40,7 +40,6 @@ from .surrogate import (
 )
 from .tracker import (
     Method,
-    MobilityState,
     SlotResult,
     TrackingScenario,
     mobility_step,

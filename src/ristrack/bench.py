@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import lin_to_db, uniform_transmit_signal
+from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
 from .tracker import Method, SlotResult, TrackingScenario, run_episode
@@ -152,5 +152,4 @@ def _write_lines(path: str | Path, lines: list[str]) -> None:
 def scenario_from_config(config: ExperimentConfig) -> TrackingScenario:
     codebook = build_codebook(config.scene, config.ris, config.grid)
     return TrackingScenario(scene=config.scene, ris=config.ris, grid=config.grid,
-                            codebook=codebook,
-                            z=uniform_transmit_signal(config.scene.num_bs_antennas))
+                            codebook=codebook)

@@ -42,6 +42,8 @@ def lin_to_db(x):
 
 @dataclass(frozen=True)
 class Vec3:
+    """A finite point; `np.asarray(v)` is the float64 array [x, y, z]."""
+
     x: float
     y: float
     z: float
@@ -50,8 +52,10 @@ class Vec3:
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"non-finite coordinate: {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a Vec3 is always copied into a new array")
+        return np.array([self.x, self.y, self.z], dtype=float if dtype is None else dtype)
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class SceneConfig:
 
     def bs_antenna_positions(self) -> np.ndarray:
         """(M, 3) antenna coordinates: half-wavelength ULA along x."""
-        base = self.bs_position.as_array()
+        base = np.asarray(self.bs_position)
         offsets = np.arange(self.num_bs_antennas) * (self.wavelength / 2.0)
         pos = np.tile(base, (self.num_bs_antennas, 1))
         pos[:, 0] += offsets
@@ -132,7 +136,8 @@ def bs_ris_channel(scene: SceneConfig, ris: "RisGeometry") -> np.ndarray:
     return _complex_gain(dist, scene.wavelength, scene.channel_model)
 
 
-def ris_ue_channel(scene: SceneConfig, ris: "RisGeometry", ue_position: Vec3) -> np.ndarray:
-    """RIS->UE channel row vector h^H, shape (N,)."""
-    dist = distance(ris.element_positions(), ue_position.as_array())
+def ris_ue_channel(scene: SceneConfig, ris: "RisGeometry",
+                   ue_position: Vec3 | np.ndarray) -> np.ndarray:
+    """RIS->UE channel row vector h^H, shape (N,), for a UE at a point or a (3,) array."""
+    dist = distance(ris.element_positions(), np.asarray(ue_position, dtype=float))
     return _complex_gain(dist, scene.wavelength, scene.channel_model)

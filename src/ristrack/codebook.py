@@ -108,19 +108,11 @@ class GridMap:
         return divmod(index, self.cols)
 
     def cell_centers(self) -> np.ndarray:
-        """(num_cells, 3) array whose row k is `cell_center(k)`, the same floats."""
+        """(num_cells, 3) array whose row k is the centre of cell k."""
         row, col = np.divmod(np.arange(self.num_cells), self.cols)
         return np.stack([self.origin.x + (col + 0.5) * self.cell_size,
                          self.origin.y + (row + 0.5) * self.cell_size,
                          np.full(self.num_cells, self.cell_height)], axis=1)
-
-    def cell_center(self, index: int) -> Vec3:
-        row, col = self.cell_of(index)
-        return Vec3(
-            self.origin.x + (col + 0.5) * self.cell_size,
-            self.origin.y + (row + 0.5) * self.cell_size,
-            self.cell_height,
-        )
 
 
 @dataclass
@@ -154,9 +146,8 @@ def ideal_phases(scene: SceneConfig, ris: RisGeometry, target: Vec3 | np.ndarray
     array of targets gives (K, N) phases, row k as for target k alone.
     """
     elems = ris.element_positions()
-    points = target.as_array() if isinstance(target, Vec3) else np.asarray(target, dtype=float)
     d1 = distance(elems, scene.bs_antenna_positions()[0])
-    d2 = distance(elems, points[..., None, :])
+    d2 = distance(elems, np.asarray(target, dtype=float)[..., None, :])
     if not (d1.min() > 0.0 and d2.min() > 0.0):
         raise DegenerateGeometryError("target or BS coincides with an RIS element")
     return (TWO_PI / scene.wavelength) * (d1 + d2) % TWO_PI

@@ -143,17 +143,16 @@ _CHECKED_KEYS = {
 _DERIVED_FIELD = ("ris", "element_spacing")  # default: half the wavelength of the file's carrier
 
 
-def _check(checked: dict[str, str], carrier_frequency: float) -> None:
-    for key, raw in checked.items():
+def _check(checked: dict[str, float], carrier_frequency: float) -> None:
+    for key, stated in checked.items():
         what, value_for, tolerance = _CHECKED_KEYS[key]
-        stated, derived = float(raw), value_for(carrier_frequency)
-        if abs(stated - derived) > tolerance * derived:
+        derived = value_for(carrier_frequency)
+        if not abs(stated - derived) <= tolerance * derived:  # NaN fails too
             raise ValueError(f"{key} {stated} inconsistent with {what} = {derived:.6g}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    checked: dict[str, str] = {}
-    parts: dict[str, dict] = {"scene": {}, "ris": {}, "grid": {}, "run": {}, "retired": {}}
+    parts: dict[str, dict] = {p: {} for p in ("scene", "ris", "grid", "run", "retired", "checked")}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -162,18 +161,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected `key = value`, got {line!r}")
         key, value = (part.strip() for part in body.split("=", 1))
         if key in _CHECKED_KEYS:
-            checked[key] = value
-            continue
-        if key not in KEYS and key not in _RETIRED_KEYS:
+            part, name, parse = "checked", key, float
+        elif key in KEYS or key in _RETIRED_KEYS:
+            part, name, parse = KEYS.get(key) or ("retired", key, _RETIRED_KEYS[key])
+        else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        part, name, parse = KEYS.get(key) or ("retired", key, _RETIRED_KEYS[key])
         try:
             parts[part][name] = parse(value)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 
     scene = SceneConfig(**parts["scene"])
-    _check(checked, scene.carrier_frequency)
+    _check(parts["checked"], scene.carrier_frequency)
     ris = None  # no panel key: the scene's own panel, re-derived if the scene is replaced
     if parts["ris"]:
         ris = dataclasses.replace(RisGeometry.for_scene(scene), **parts["ris"])

@@ -52,8 +52,10 @@ def kernel_tables(rows: int, cols: int, length_scale: float = DEFAULT_LENGTH_SCA
     """Tables for a rows x cols grid, cached: callers share one read-only copy."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one cell")
-    if length_scale <= 0 or bandwidth <= 0:
-        raise ValueError("length scale and bandwidth must be positive")
+    if not 0.0 < length_scale < math.inf:
+        raise ValueError(f"length_scale must be positive and finite, got {length_scale}")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     idx = np.arange(rows * cols)
     coords = np.stack([idx // cols, idx % cols], axis=1).astype(float)
     corr = np.exp(-_sq_distances(coords) / length_scale ** 2)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import acquisition, surrogate
-from .channel import SceneConfig, bs_ris_channel, ris_ue_channel
+from .channel import SceneConfig, bs_ris_channel, ris_ue_channel, uniform_transmit_signal
 from .codebook import Codebook, GridMap, RisGeometry
 
 if TYPE_CHECKING:
@@ -38,32 +38,25 @@ def slot_budget(method: Method, eta: float, num_cells: int) -> int:
     return min(max(int(round(eta * num_cells)), 1), num_cells)
 
 
-@dataclass(frozen=True)
-class MobilityState:
-    row: int
-    col: int
-    speed: int  # grid cells per slot
-
-
 _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
-def mobility_step(state: MobilityState, grid: GridMap, rng: np.random.Generator) -> MobilityState:
-    """Advance the UE by `speed` single-cell moves on the 4-neighborhood.
+def mobility_step(cell: int, speed: int, grid: GridMap, rng: np.random.Generator) -> int:
+    """The UE's cell after `speed` single-cell moves on the 4-neighborhood.
 
     Moves that would leave the grid are redrawn; a cell with no valid
     neighbor (1x1 grid) stays put.
     """
     if grid.num_cells == 1:  # on any larger grid every cell has a neighbor
-        return state
-    row, col = state.row, state.col
-    for _ in range(state.speed):
+        return cell
+    row, col = grid.cell_of(cell)
+    for _ in range(speed):
         while True:
             dr, dc = _MOVES[rng.integers(4)]
             if 0 <= row + dr < grid.rows and 0 <= col + dc < grid.cols:
                 row, col = row + dr, col + dc
                 break
-    return MobilityState(row=row, col=col, speed=state.speed)
+    return row * grid.cols + col
 
 
 @dataclass(frozen=True)
@@ -79,19 +72,20 @@ class SlotResult:
 
 @dataclass
 class TrackingScenario:
-    """Immutable per-experiment setup: scene, RIS, grid, codebook, BS signal."""
+    """Immutable per-experiment setup: scene, RIS, grid and codebook, plus the
+    two arrays every slot reads, computed once."""
 
     scene: SceneConfig
     ris: RisGeometry
     grid: GridMap
     codebook: Codebook
-    z: np.ndarray
-    bs_ris: np.ndarray = field(init=False, repr=False)
-    forward: np.ndarray = field(init=False, repr=False)  # bs_ris @ z, per RIS element
+    forward: np.ndarray = field(init=False, repr=False)  # H @ z per RIS element, z uniform
+    centers: np.ndarray = field(init=False, repr=False)  # (cells, 3) UE position per cell
 
     def __post_init__(self):
-        self.bs_ris = bs_ris_channel(self.scene, self.ris)
-        self.forward = self.bs_ris @ self.z
+        z = uniform_transmit_signal(self.scene.num_bs_antennas)
+        self.forward = bs_ris_channel(self.scene, self.ris) @ z
+        self.centers = self.grid.cell_centers()
 
 
 @dataclass
@@ -104,9 +98,11 @@ class SlotEnv:
     noise_power: float
 
 
-def build_slot_env(scenario: TrackingScenario, ue_cell: tuple[int, int]) -> SlotEnv:
-    ue = scenario.grid.cell_center(scenario.grid.index_of(*ue_cell))
-    h = ris_ue_channel(scenario.scene, scenario.ris, ue)
+def build_slot_env(scenario: TrackingScenario, cell: int) -> SlotEnv:
+    """The slot's environment with the UE at the centre of grid cell `cell`."""
+    if not 0 <= cell < len(scenario.centers):  # a negative index would pick a cell silently
+        raise ValueError(f"cell index {cell} out of range")
+    h = ris_ue_channel(scenario.scene, scenario.ris, scenario.centers[cell])
     cascade = h * scenario.forward
     signals = scenario.codebook.phasors @ cascade
     return SlotEnv(grid=scenario.grid, signals=signals,
@@ -210,13 +206,12 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
     random initial measurement.
     """
     grid = scenario.grid
-    state = MobilityState(row=int(rng.integers(grid.rows)),
-                          col=int(rng.integers(grid.cols)), speed=speed)
+    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
     results: list[SlotResult] = []
     prev_chosen: int | None = None
     for t in range(1, config.total_slots + 1):
-        state = mobility_step(state, grid, rng)
-        env = build_slot_env(scenario, (state.row, state.col))
+        cell = mobility_step(cell, speed, grid, rng)
+        env = build_slot_env(scenario, cell)
         warm = prev_chosen if config.warm_start else None
         result = track_slot(env, config, method, eta, rng, slot_index=t, warm_index=warm)
         results.append(result)

@@ -6,6 +6,18 @@ configuration at a time, with no caching or batching.
 
 import numpy as np
 
+from ristrack.channel import Vec3
+from ristrack.codebook import GridMap
+
+
+def cell_center(grid: GridMap, k: int) -> Vec3:
+    """Centre of cell k by the `GridMap` formula, one coordinate at a time:
+    the oracle for the rows of `grid.cell_centers()`."""
+    row, col = grid.cell_of(k)
+    return Vec3(grid.origin.x + (col + 0.5) * grid.cell_size,
+                grid.origin.y + (row + 0.5) * grid.cell_size,
+                grid.cell_height)
+
 
 def rsrp(h: np.ndarray, beta: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
     """Noiseless received power |h^H W H z|^2, W = diag(exp(j*beta)), for one

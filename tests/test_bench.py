@@ -321,6 +321,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key, bad, message", [
         ("wavelength_m", "0.10", "wavelength"),
         ("light_speed", "2.9e8", "light_speed"),
+        ("wavelength_m", "nan", "^wavelength_m nan inconsistent"),
+        ("light_speed", "nan", "^light_speed nan inconsistent"),
+        ("wavelength_m", "abc", "^wavelength_m: could not convert"),
+        ("light_speed", "abc", "^light_speed: could not convert"),
     ])
     def test_literal_template_checks_derived_keys(self, key, bad, message):
         line = next(line for line in LITERAL_TEMPLATE.splitlines() if line.startswith(key))

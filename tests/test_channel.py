@@ -5,6 +5,7 @@ model is tested with the tracker's measurement in test_tracker.py.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,9 +84,24 @@ def test_ris_ue_entries_match_scalar_recomputation():
     h = ris_ue_channel(scene, ris, ue)
     lam = scene.wavelength
     for i, elem in enumerate(ris.element_positions()):
-        d = math.dist(elem, ue.as_array())
+        d = math.dist(elem, (ue.x, ue.y, ue.z))
         expected = (lam / (4 * math.pi * d)) * cmath.exp(-1j * 2 * math.pi * d / lam)
         assert h[i] == pytest.approx(expected, rel=1e-12)
+
+
+def test_vec3_converts_to_a_float64_array():
+    """np.asarray(v) is the [x, y, z] float64 array, under numpy's array
+    protocol with no DeprecationWarning (numpy 2 warns if `copy` is missing)."""
+    v = Vec3(1.3, -0.4, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = np.asarray(v)
+        assert np.asarray(v, dtype=float).tobytes() == arr.tobytes()
+        assert np.array(v, copy=True).tobytes() == arr.tobytes()
+    assert arr.dtype == np.float64 and arr.shape == (3,)
+    assert arr.tobytes() == np.array([1.3, -0.4, 2.0], dtype=float).tobytes()
+    with pytest.raises(ValueError):
+        np.array(v, copy=False)
 
 
 def test_single_element_boresight_magnitude():

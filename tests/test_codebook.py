@@ -31,7 +31,7 @@ from ristrack.codebook import (
 from ristrack.config import ExperimentConfig
 from ristrack.tracker import Method, TrackingScenario, build_slot_env, track_slot
 
-from oracles import coherent_bound, rsrp
+from oracles import cell_center, coherent_bound, rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -51,8 +51,7 @@ def table1_codebook(table1):
 
 
 def scenario_for(scene, ris, grid, codebook):
-    return TrackingScenario(scene=scene, ris=ris, grid=grid, codebook=codebook,
-                            z=uniform_transmit_signal(scene.num_bs_antennas))
+    return TrackingScenario(scene=scene, ris=ris, grid=grid, codebook=codebook)
 
 
 def reference_quantize(phases, bits, sweep_resolution, weights=None) -> list:
@@ -105,7 +104,7 @@ def codeword_phases(codebook: Codebook, k: int) -> np.ndarray:
 
 def slot_best_index(scenario, cell: int) -> int:
     """The true-best codebook index the tracker scores a slot against."""
-    env = build_slot_env(scenario, scenario.grid.cell_of(cell))
+    env = build_slot_env(scenario, cell)
     return track_slot(env, CONFIG, Method.ERGODIC, 1.0, np.random.default_rng(0)).true_best_index
 
 
@@ -152,7 +151,7 @@ class TestGeometry:
     def test_grid_tiles_four_by_four_meters(self, table1):
         _, _, grid = table1
         assert grid.num_cells == 100
-        centers = np.array([grid.cell_center(k).as_array() for k in range(grid.num_cells)])
+        centers = grid.cell_centers()
         half = grid.cell_size / 2.0
         assert centers[:, 0].min() - half == pytest.approx(0.4)
         assert centers[:, 0].max() + half == pytest.approx(4.4)
@@ -162,9 +161,9 @@ class TestGeometry:
 
     def test_grid_center_defaults(self, table1):
         _, _, grid = table1
-        centers = [grid.cell_center(k) for k in range(grid.num_cells)]
-        xs = sorted({round(c.x, 9) for c in centers})
-        ys = sorted({round(c.y, 9) for c in centers})
+        centers = grid.cell_centers()
+        xs = sorted({round(x, 9) for x in centers[:, 0]})
+        ys = sorted({round(y, 9) for y in centers[:, 1]})
         np.testing.assert_allclose(xs, np.arange(0.6, 4.3, 0.4), atol=1e-9)
         np.testing.assert_allclose(ys, np.arange(-1.8, 1.9, 0.4), atol=1e-9)
 
@@ -193,7 +192,7 @@ class TestIdealPhases:
         bs = scene.bs_antenna_positions()[0]
         for i, elem in enumerate(ris.element_positions()):
             d1 = math.dist(elem, bs)
-            d2 = math.dist(elem, target.as_array())
+            d2 = math.dist(elem, np.asarray(target))
             assert phases[i] == pytest.approx((2 * math.pi / lam) * (d1 + d2) % (2 * math.pi),
                                               abs=1e-9)
 
@@ -204,13 +203,13 @@ class TestIdealPhases:
         rows = ideal_phases(scene, ris, grid.cell_centers())
         assert rows.shape == (grid.num_cells, ris.num_elements)
         for k in range(grid.num_cells):
-            assert rows[k].tobytes() == ideal_phases(scene, ris, grid.cell_center(k)).tobytes()
+            assert rows[k].tobytes() == ideal_phases(scene, ris, cell_center(grid, k)).tobytes()
 
     def test_cell_centers_match_cell_center(self):
         grid = GridMap(rows=3, cols=7, cell_size=0.37, origin=Vec3(-1.1, 0.3, 0.0))
         centers = grid.cell_centers()
         for k in range(grid.num_cells):
-            assert centers[k].tobytes() == grid.cell_center(k).as_array().tobytes()
+            assert centers[k].tobytes() == np.asarray(cell_center(grid, k)).tobytes()
 
     def test_applying_ideal_phases_attains_coherent_bound(self):
         scene = SceneConfig(num_bs_antennas=1)
@@ -323,8 +322,8 @@ class TestCodebook:
         z = uniform_transmit_signal(scene.num_bs_antennas)
         own_argmax = 0
         for k in range(grid.num_cells):
-            values = build_slot_env(scenario, grid.cell_of(k)).rsrp_values
-            h = ris_ue_channel(scene, ris, grid.cell_center(k))
+            values = build_slot_env(scenario, k).rsrp_values
+            h = ris_ue_channel(scene, ris, cell_center(grid, k))
             oracle = [rsrp(h, codeword_phases(table1_codebook, j), H, z)
                       for j in range(len(table1_codebook))]
             np.testing.assert_allclose(values, oracle, rtol=1e-12)
@@ -347,7 +346,7 @@ class TestCodebook:
         z = uniform_transmit_signal(scene.num_bs_antennas)
         cell = grid.index_of(7, 4)  # center (2.2, 1.0, 1.5)
         fast = slot_best_index(scenario_for(scene, ris, grid, table1_codebook), cell)
-        h = ris_ue_channel(scene, ris, grid.cell_center(cell))
+        h = ris_ue_channel(scene, ris, cell_center(grid, cell))
         slow = max(range(len(table1_codebook)),
                    key=lambda k: rsrp(h, codeword_phases(table1_codebook, k), H, z))
         assert fast == slow

@@ -86,6 +86,14 @@ class TestRbfKernel:
         with pytest.raises(ValueError):
             kernel_tables(10, 10, bandwidth=0.0)
 
+    @pytest.mark.parametrize("name", ["length_scale", "bandwidth"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_and_non_positive_by_name(self, name, bad):
+        """NaN fails every comparison and inf passes `x > 0`, so both need the
+        two-sided check; either would give an all-NaN or all-ones table."""
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            kernel_tables.__wrapped__(3, 3, **{name: bad})
+
     def test_tables_are_shared_and_read_only(self):
         """Back-to-back calls share one copy.  The cache holds 16 grid shapes,
         so the module's TABLES may have been evicted by other tests."""

@@ -13,12 +13,19 @@ from hypothesis import given, settings, strategies as st
 from ristrack import tracker
 
 from ristrack.bench import episode_rng, scenario_from_config
-from ristrack.channel import SceneConfig, Vec3, dbm_to_watts, lin_to_db
+from ristrack.channel import (
+    SceneConfig,
+    Vec3,
+    bs_ris_channel,
+    dbm_to_watts,
+    lin_to_db,
+    ris_ue_channel,
+    uniform_transmit_signal,
+)
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.tracker import (
     Method,
-    MobilityState,
     SlotEnv,
     build_slot_env,
     mobility_step,
@@ -27,7 +34,7 @@ from ristrack.tracker import (
     track_slot,
 )
 
-from oracles import rsrp
+from oracles import cell_center, rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -39,31 +46,30 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def slot_env(scenario):
-    return build_slot_env(scenario, (4, 5))
+    return build_slot_env(scenario, scenario.grid.index_of(4, 5))
 
 
 class TestMobility:
     def test_one_by_one_grid_stays_put(self):
         grid = GridMap(rows=1, cols=1, origin=Vec3(1.0, 0.0, 0.0))
-        state = MobilityState(row=0, col=0, speed=2)
-        out = mobility_step(state, grid, np.random.default_rng(0))
-        assert (out.row, out.col) == (0, 0)
+        assert mobility_step(0, 2, grid, np.random.default_rng(0)) == 0
 
     def test_speed_one_moves_exactly_one_cell(self):
         grid = GridMap()
         rng = np.random.default_rng(1)
-        state = MobilityState(row=5, col=5, speed=1)
+        cell = grid.index_of(5, 5)
         for _ in range(200):
-            new = mobility_step(state, grid, rng)
-            assert abs(new.row - state.row) + abs(new.col - state.col) == 1
-            state = new
+            new = mobility_step(cell, 1, grid, rng)
+            (row, col), (new_row, new_col) = grid.cell_of(cell), grid.cell_of(new)
+            assert abs(new_row - row) + abs(new_col - col) == 1
+            cell = new
 
     def test_speed_two_manhattan_distance(self):
         grid = GridMap()
         rng = np.random.default_rng(2)
         for _ in range(200):
-            new = mobility_step(MobilityState(row=5, col=5, speed=2), grid, rng)
-            assert abs(new.row - 5) + abs(new.col - 5) in (0, 2)
+            row, col = grid.cell_of(mobility_step(grid.index_of(5, 5), 2, grid, rng))
+            assert abs(row - 5) + abs(col - 5) in (0, 2)
 
     def test_interior_step_distribution_uniform(self):
         """1e5 single steps from an interior cell: each neighbor ~25% (+-2%)."""
@@ -71,8 +77,8 @@ class TestMobility:
         rng = np.random.default_rng(3)
         counts = {}
         for _ in range(100_000):
-            new = mobility_step(MobilityState(row=5, col=5, speed=1), grid, rng)
-            counts[(new.row, new.col)] = counts.get((new.row, new.col), 0) + 1
+            new = grid.cell_of(mobility_step(grid.index_of(5, 5), 1, grid, rng))
+            counts[new] = counts.get(new, 0) + 1
         assert set(counts) == {(4, 5), (6, 5), (5, 4), (5, 6)}
         for c in counts.values():
             assert abs(c / 100_000 - 0.25) < 0.02
@@ -80,10 +86,14 @@ class TestMobility:
     def test_never_leaves_grid(self):
         grid = GridMap(rows=3, cols=2, origin=Vec3(1.0, 0.0, 0.0))
         rng = np.random.default_rng(4)
-        state = MobilityState(row=0, col=0, speed=2)
+        cell = 0
         for _ in range(500):
-            state = mobility_step(state, grid, rng)
-            assert 0 <= state.row < 3 and 0 <= state.col < 2
+            new = mobility_step(cell, 2, grid, rng)
+            # cell_of rejects an index off the grid; a walk that wrapped round
+            # a row edge would jump an odd or larger distance
+            (row, col), (new_row, new_col) = grid.cell_of(cell), grid.cell_of(new)
+            assert abs(new_row - row) + abs(new_col - col) in (0, 2)
+            cell = new
 
     @pytest.mark.parametrize("rows, cols, cells, next_draw", [
         (1, 1, [(0, 0)] * 12, 720255338),
@@ -95,24 +105,23 @@ class TestMobility:
         """12 speed-2 steps from the middle cell under seed 5; the draw after
         the walk pins how many draws the walk made."""
         rng = np.random.default_rng(5)
-        walk = _walk(MobilityState(rows // 2, cols // 2, 2), GridMap(rows=rows, cols=cols), rng, 12)
-        assert [(s.row, s.col) for s in walk] == cells
+        grid = GridMap(rows=rows, cols=cols)
+        walk = _walk(grid.index_of(rows // 2, cols // 2), grid, rng, 12)
+        assert [grid.cell_of(cell) for cell in walk] == cells
         assert int(rng.integers(1 << 30)) == next_draw
 
     def test_deterministic_under_seed(self):
         grid = GridMap()
-        walk = lambda seed: [
-            (s.row, s.col)
-            for s in _walk(MobilityState(5, 5, 2), grid, np.random.default_rng(seed), 50)
-        ]
+        walk = lambda seed: _walk(grid.index_of(5, 5), grid, np.random.default_rng(seed), 50)
         assert walk(99) == walk(99)
 
 
-def _walk(state, grid, rng, steps):
+def _walk(cell, grid, rng, steps):
+    """Cells after each of `steps` speed-2 steps from `cell`."""
     out = []
     for _ in range(steps):
-        state = mobility_step(state, grid, rng)
-        out.append(state)
+        cell = mobility_step(cell, 2, grid, rng)
+        out.append(cell)
     return out
 
 
@@ -354,7 +363,26 @@ def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, 
 
 
 def test_scenario_holds_the_forward_product(scenario):
-    np.testing.assert_array_equal(scenario.forward, scenario.bs_ris @ scenario.z)
+    z = uniform_transmit_signal(scenario.scene.num_bs_antennas)
+    np.testing.assert_array_equal(scenario.forward,
+                                  bs_ris_channel(scenario.scene, scenario.ris) @ z)
+
+
+@pytest.mark.parametrize("grid", [
+    GridMap(), GridMap(rows=3, cols=7, cell_size=0.37, origin=Vec3(-1.1, 0.3, 0.0)),
+], ids=["default", "3x7"])
+def test_slot_signals_are_the_cell_centre_channel_bit_for_bit(grid):
+    """Each slot's signals are the codebook phasors times the RIS->UE channel
+    at the scalar cell centre times the forward product, to the last bit: an
+    ulp can flip a pick."""
+    scenario = scenario_from_config(ExperimentConfig(grid=grid))
+    for k in range(grid.num_cells):
+        h = ris_ue_channel(scenario.scene, scenario.ris, cell_center(grid, k))
+        want = scenario.codebook.phasors @ (h * scenario.forward)
+        assert build_slot_env(scenario, k).signals.tobytes() == want.tobytes(), k
+    for bad in (-1, grid.num_cells):
+        with pytest.raises(ValueError, match="out of range"):
+            build_slot_env(scenario, bad)
 
 
 class TestRunEpisode:
