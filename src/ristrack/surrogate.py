@@ -79,10 +79,13 @@ class ObservationHistory:
         self._cells = np.empty(num_cells, dtype=np.intp)
         self._values = np.empty(num_cells, dtype=float)
         self.seen = np.zeros(num_cells, dtype=bool)
+        self._num_cells = num_cells
         self.best = math.inf  # values().min() once a value is added, NaN included
         self._n = 0
 
     def add(self, cell: int, value: float) -> None:
+        if not 0 <= cell < self._num_cells:
+            raise ValueError(f"cell {cell} is outside the grid's {self._num_cells} cells")
         if self.seen[cell]:
             raise DuplicatePointError(f"cell {cell} already measured this slot")
         self.seen[cell] = True

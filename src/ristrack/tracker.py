@@ -115,6 +115,8 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
                warm_index: int | None = None) -> SlotResult:
     """Run one slot of beam search and report chosen vs. true-best power."""
     num_cells = env.rsrp_values.shape[0]
+    if warm_index is not None and not 0 <= warm_index < num_cells:
+        raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
     budget = slot_budget(method, eta, num_cells)
     true_best = int(np.argmax(env.rsrp_values))
 

@@ -1,10 +1,12 @@
-"""Scalar reference routes the tests compare the vectorised code against.
+"""Reference routes only the tests compare the production code against.
 
-Each computes one quantity directly from its definition, one phase
-configuration at a time, with no caching or batching.
+Each computes one quantity directly from its definition, with no caching,
+tables or batching.  The oracles `ristrack validate` runs live in
+`ristrack.validate`.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ristrack.channel import Vec3
 from ristrack.codebook import GridMap
@@ -45,3 +47,12 @@ def coherent_bound(h: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
     h = np.asarray(h, dtype=complex)
     forward = np.asarray(H, dtype=complex) @ np.asarray(z, dtype=complex)
     return float(np.sum(np.abs(h) * np.abs(forward))) ** 2
+
+
+def parzen_density(points: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian Parzen mixture of the float points at each row of `at`,
+    normalized over `at`; uniform when there are no points."""
+    if points.shape[0] == 0:
+        return np.full(at.shape[0], 1.0 / at.shape[0])
+    raw = np.exp(-0.5 * cdist(at / bandwidth, points / bandwidth, "sqeuclidean")).mean(axis=1)
+    return raw / float(np.sum(raw))

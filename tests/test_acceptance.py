@@ -6,15 +6,11 @@ pipeline determinism.
 """
 
 import dataclasses
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.spatial.distance import cdist
-from scipy.stats import norm
 
 from ristrack.acquisition import expected_improvement, select_next
 from ristrack.bench import (
@@ -37,8 +33,9 @@ from ristrack.codebook import RisGeometry, ideal_phases, quantize_codeword
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
 from ristrack.tracker import Method, run_episode
+from ristrack.validate import best_by_enumeration, dense_gp_posterior, ei_by_quadrature
 
-from oracles import rsrp
+from oracles import parzen_density, rsrp
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -136,7 +133,6 @@ def test_criterion_4_overhead_monotonicity(full_run):
 def test_criterion_5_gp_numerical_correctness():
     rng = np.random.default_rng(101)
     tables = kernel_tables(10, 10)
-    candidates = tables.coords
     theta2 = ExperimentConfig().gp_length_scale
     worst = 0.0
     interp_ok = True
@@ -149,15 +145,7 @@ def test_criterion_5_gp_numerical_correctness():
             history.add(int(i), float(v))
         model = gp_fit(history, tables)
         mean, var = gp_posterior(model)
-
-        x = candidates[idx]
-        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
-        k = model.theta1 * np.exp(-sq / theta2 ** 2) + model.jitter * np.eye(n)
-        sq_star = np.sum((x[:, None, :] - candidates[None, :, :]) ** 2, axis=-1)
-        k_star = model.theta1 * np.exp(-sq_star / theta2 ** 2)
-        mean_ref = k_star.T @ np.linalg.solve(k, history.values())
-        var_ref = np.maximum(model.theta1 - np.sum(k_star * np.linalg.solve(k, k_star),
-                                                   axis=0), 0.0)
+        mean_ref, var_ref = dense_gp_posterior(model, history, theta2)
         worst = max(worst, float(np.max(np.abs(mean - mean_ref))),
                     float(np.max(np.abs(var - var_ref))))
 
@@ -179,8 +167,7 @@ def test_criterion_6_ei_correctness():
         sigma = float(rng.uniform(0.05, 3.0))
         y_star = mean + float(rng.uniform(-6, 6)) * sigma
         closed = expected_improvement(mean, sigma ** 2, y_star)
-        ref, _ = quad(lambda y: (y_star - y) * norm.pdf(y, mean, sigma),
-                      mean - 12.0 * sigma, y_star)
+        ref = ei_by_quadrature(mean, sigma, y_star)
         worst_rel = max(worst_rel, abs(closed - ref) / max(abs(ref), 1e-12))
     sigmas = np.linspace(0.0, 5.0, 400)
     mono = np.all(np.diff(expected_improvement(np.ones_like(sigmas), sigmas ** 2, 0.0))
@@ -191,19 +178,6 @@ def test_criterion_6_ei_correctness():
     report("criterion 6 (EI vs quadrature)", ok,
            f"max rel error = {worst_rel:.2e} over 1000 triples; "
            f"monotone in sigma: {bool(mono)}; EI >= 0: {bool(nonneg)}")
-
-
-def parzen_density(points, at, candidates, bandwidth):
-    """Gaussian Parzen mixture of float points at each row of `at`,
-    normalized over the candidate grid; uniform when there are no points."""
-    if points.shape[0] == 0:
-        return np.full(at.shape[0], 1.0 / candidates.shape[0])
-
-    def raw(query):
-        return np.exp(-0.5 * cdist(query / bandwidth, points / bandwidth,
-                                   "sqeuclidean")).mean(axis=1)
-
-    return raw(at) / float(np.sum(raw(candidates)))
 
 
 def test_criterion_7_tpe_eq5_consistency():
@@ -227,10 +201,9 @@ def test_criterion_7_tpe_eq5_consistency():
         n_good = math.ceil(config.tpe_gamma * n)
         measured = {(float(c[0]), float(c[1])) for c in points}
         keep = np.array([tuple(c) not in measured for c in candidates])
-        remaining = candidates[keep]
-        l = parzen_density(points[order[:n_good]], remaining, candidates, config.kde_bandwidth)
-        g = parzen_density(points[order[n_good:]], remaining, candidates, config.kde_bandwidth)
-        oracle = remaining[int(np.argmax(l / g))]
+        l = parzen_density(points[order[:n_good]], candidates, config.kde_bandwidth)[keep]
+        g = parzen_density(points[order[n_good:]], candidates, config.kde_bandwidth)[keep]
+        oracle = candidates[keep][int(np.argmax(l / g))]
         if tuple(candidates[picked]) != tuple(oracle):
             mismatches += 1
     report("criterion 7 (TPE selection = argmax l/g)", mismatches == 0,
@@ -258,10 +231,7 @@ def test_criterion_8_codebook_optimality_small_n():
         weights = np.abs(h) * np.abs(H @ z)
         cw = quantize_codeword(phases, bits=2, weights=weights)
         achieved = rsrp(h, cw * step, H, z)
-        best = max(
-            rsrp(h, np.array(combo, dtype=float) * step, H, z)
-            for combo in itertools.product(range(4), repeat=n)
-        )
+        best = best_by_enumeration(lambda b: rsrp(h, b * step, H, z), n, 4)
         worst_rel = max(worst_rel, (best - achieved) / best)
     ok = worst_rel <= 1e-12
     report("criterion 8 (quantizer = exhaustive 4^N)", ok,

@@ -8,8 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from ristrack.acquisition import (
     CandidatesExhausted,
@@ -18,21 +16,11 @@ from ristrack.acquisition import (
     select_next,
 )
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
+from ristrack.validate import ei_by_quadrature
+
+from test_surrogate import history_from
 
 TABLES = kernel_tables(10, 10)
-
-
-def history_from(pairs, num_cells=100):
-    h = ObservationHistory(num_cells)
-    for cell, value in pairs:
-        h.add(cell, value)
-    return h
-
-
-def ei_quadrature(mean, sigma, y_star):
-    val, _ = quad(lambda y: (y_star - y) * norm.pdf(y, mean, sigma),
-                  mean - 12.0 * sigma, y_star)
-    return val
 
 
 class TestExpectedImprovement:
@@ -47,7 +35,7 @@ class TestExpectedImprovement:
         assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
         assert expected_improvement(0.0, 1.0, 0.0) == pytest.approx(
-            ei_quadrature(0.0, 1.0, 0.0), rel=1e-6)
+            ei_by_quadrature(0.0, 1.0, 0.0), rel=1e-6)
 
     def test_matches_quadrature_on_random_triples(self):
         rng = np.random.default_rng(51)
@@ -56,7 +44,7 @@ class TestExpectedImprovement:
             sigma = rng.uniform(0.05, 3.0)
             y_star = mean + rng.uniform(-6, 6) * sigma
             closed = expected_improvement(mean, sigma ** 2, y_star)
-            ref = ei_quadrature(mean, sigma, y_star)
+            ref = ei_by_quadrature(mean, sigma, y_star)
             assert closed == pytest.approx(ref, rel=1e-6, abs=1e-12)
 
     def test_nonnegative_everywhere(self):

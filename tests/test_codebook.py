@@ -5,7 +5,6 @@ pinned codebooks, and the full-grid cross-matrix.
 
 import dataclasses
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -30,6 +29,7 @@ from ristrack.codebook import (
 )
 from ristrack.config import ExperimentConfig
 from ristrack.tracker import Method, TrackingScenario, build_slot_env, track_slot
+from ristrack.validate import best_by_enumeration
 
 from oracles import cell_center, coherent_bound, rsrp
 
@@ -236,13 +236,11 @@ class TestQuantizeCodeword:
             n = int(rng.integers(2, 7))
             phases = rng.uniform(0, 2 * math.pi, size=n)
             weights = rng.uniform(0.3, 1.0, size=n)
-            cw = quantize_codeword(phases, bits=2, weights=weights)
-            achieved = abs(np.sum(weights * np.exp(1j * (cw * step - phases))))
-            best = max(
-                abs(np.sum(weights * np.exp(1j * (np.array(combo) * step - phases))))
-                for combo in itertools.product(range(4), repeat=n)
-            )
-            assert achieved == pytest.approx(best, rel=1e-12)
+
+            def coherent_sum(b):
+                return abs(np.sum(weights * np.exp(1j * (b * step - phases))))
+            achieved = coherent_sum(quantize_codeword(phases, bits=2, weights=weights))
+            assert achieved == pytest.approx(best_by_enumeration(coherent_sum, n, 4), rel=1e-12)
 
     def test_quantization_loss_bound(self):
         """Per-element error <= pi/4 at 2 bits -> at least cos^2(pi/4) of ideal."""

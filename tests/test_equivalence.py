@@ -24,15 +24,9 @@ from ristrack.config import ExperimentConfig
 from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
 from ristrack.tracker import Method, run_episode, slot_budget
 
+from oracles import parzen_density
+
 CONFIG = ExperimentConfig(collect_timing=False)
-
-
-def _kde(points, at, bandwidth):
-    """Gaussian Parzen mixture at each row of `at`, renormalized over `at`."""
-    if points.shape[0] == 0:
-        return np.full(at.shape[0], 1.0 / at.shape[0])
-    raw = np.exp(-0.5 * cdist(at / bandwidth, points / bandwidth, "sqeuclidean")).mean(axis=1)
-    return raw / float(np.sum(raw))
 
 
 def reference_scores(config, method, candidates, keep, x, y):
@@ -52,8 +46,8 @@ def reference_scores(config, method, candidates, keep, x, y):
         return expected_improvement(k_star.T @ alpha, var, y_star=float(y.min()))
     order = np.argsort(y, kind="stable")
     n_good = math.ceil(config.tpe_gamma * y.size)
-    l = _kde(x[order[:n_good]], candidates, config.kde_bandwidth)[keep]
-    g = _kde(x[order[n_good:]], candidates, config.kde_bandwidth)[keep]
+    l = parzen_density(x[order[:n_good]], candidates, config.kde_bandwidth)[keep]
+    g = parzen_density(x[order[n_good:]], candidates, config.kde_bandwidth)[keep]
     ratio = np.divide(l, g, out=np.full_like(l, np.inf), where=g > 0)
     return np.where(l > 0, ratio, 0.0)
 
@@ -137,8 +131,8 @@ def test_tpe_densities_equal_the_reference_bit_for_bit():
             history.add(int(i), float(rng.normal(0.0, 5.0)))
         model = tpe_fit(history, tables)
         coords = tables.coords
-        np.testing.assert_array_equal(model.l, _kde(coords[model.good_cells], coords, 1.0))
-        np.testing.assert_array_equal(model.g, _kde(coords[model.bad_cells], coords, 1.0))
+        for density, cells in ((model.l, model.good_cells), (model.g, model.bad_cells)):
+            np.testing.assert_array_equal(density, parzen_density(coords[cells], coords, 1.0))
 
 
 @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])

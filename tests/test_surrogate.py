@@ -18,6 +18,7 @@ from ristrack.surrogate import (
     kernel_tables,
     tpe_fit,
 )
+from ristrack.validate import dense_gp_posterior
 
 TABLES = kernel_tables(10, 10)
 
@@ -34,16 +35,19 @@ def random_history(rng, n, value_scale=10.0):
     return history_from((int(i), float(rng.normal(0.0, value_scale))) for i in idx)
 
 
-def dense_kernel(theta1, theta2, xa, xb):
-    sq = np.sum((xa[:, None, :] - xb[None, :, :]) ** 2, axis=-1)
-    return theta1 * np.exp(-sq / theta2 ** 2)
-
-
 class TestObservationHistory:
     def test_rejects_duplicates(self):
         h = history_from([(0, 1.0)])
         with pytest.raises(DuplicatePointError):
             h.add(0, 2.0)
+
+    @pytest.mark.parametrize("cell", [-1, 100])
+    def test_rejects_cells_outside_the_grid(self, cell):
+        """Nothing is recorded: -1 would mark cell 99 seen but store cell -1."""
+        h = ObservationHistory(100)
+        with pytest.raises(ValueError, match=f"^cell {cell} is outside"):
+            h.add(cell, 1.0)
+        assert len(h) == 0 and not h.seen.any()
 
     def test_preserves_order(self):
         h = history_from([(1, 3.0), (22, -1.0), (10, 0.5)])
@@ -161,16 +165,9 @@ class TestGpFit:
         history = random_history(rng, 60, value_scale=25.0)
         model = gp_fit(history, TABLES)
         mean, var = gp_posterior(model)
-
-        candidates = TABLES.coords
-        x = candidates[history.cells()]
-        k = dense_kernel(model.theta1, 2.0, x, x) + model.jitter * np.eye(60)
-        k_star = dense_kernel(model.theta1, 2.0, x, candidates)
-        mean_ref = k_star.T @ np.linalg.solve(k, history.values())
-        var_ref = model.theta1 - np.sum(k_star * np.linalg.solve(k, k_star), axis=0)
-
+        mean_ref, var_ref = dense_gp_posterior(model, history, 2.0)
         assert np.max(np.abs(mean - mean_ref)) < 1e-8
-        assert np.max(np.abs(var - np.maximum(var_ref, 0.0))) < 1e-8
+        assert np.max(np.abs(var - var_ref)) < 1e-8
 
     def test_posterior_interpolates_training_data(self):
         rng = np.random.default_rng(23)
@@ -200,7 +197,8 @@ class TestGpFit:
         history = random_history(rng, 30)
         model = gp_fit(history, TABLES)
         x = TABLES.coords[history.cells()]
-        k = dense_kernel(model.theta1, 2.0, x, x)
+        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+        k = model.theta1 * np.exp(-sq / 2.0 ** 2)
         np.testing.assert_allclose(k, k.T, atol=0)
         lower = np.zeros((30, 30))
         for i, cell in enumerate(history.cells()):

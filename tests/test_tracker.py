@@ -167,6 +167,14 @@ class TestTrackSlot:
             r = track_slot(slot_env, CONFIG, method, 0.3, np.random.default_rng(13))
             assert r.measurements_used == 30
 
+    @pytest.mark.parametrize("warm_index", [-1, 100])
+    def test_rejects_warm_index_outside_the_grid(self, slot_env, warm_index):
+        """Rejected by name before anything is measured: numpy would read -1
+        from the other end and fail on 100 with a bare IndexError."""
+        with pytest.raises(ValueError, match=f"^warm_index {warm_index} is outside"):
+            track_slot(slot_env, CONFIG, Method.GP_EI, 0.2, np.random.default_rng(19),
+                       warm_index=warm_index)
+
     def test_noisy_measurement_mode_runs(self, slot_env):
         cfg = dataclasses.replace(CONFIG, measure_with_noise=True)
         r = track_slot(slot_env, cfg, Method.TPE_EI, 0.2, np.random.default_rng(17))
