@@ -94,7 +94,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from . import validate  # loads scipy.stats and scipy.integrate; only this command needs them
+    from . import validate  # the oracles; only this command needs them
 
     failures = validate.run_all(verbose=True)
     return 1 if failures else 0

@@ -182,19 +182,25 @@ def quantize_codeword(
     edges = np.concatenate(([0.0], breaks, [step]))
     rho = np.unique((edges[:-1] + edges[1:]) / 2.0)
     rounded = (phases + rho[:, None]) / step + 0.5
-    # Every entry is >= 0 and levels is a power of two, so & wraps like %.
-    patterns = np.floor(rounded, out=rounded).astype(np.intp)
-    patterns &= levels - 1
-    # misfit[l, i] = w_i exp(j(l*step - phase_i)); np.hypot rounds each score
-    # exactly like the scalar abs(), which np.abs on the array does not, and
-    # an ulp decides between rotation-equivalent patterns.
-    misfit = np.exp(1j * (np.arange(levels)[:, None] * step - phases))
+    raw = np.floor(rounded, out=rounded).astype(np.intp)
+    # rho is sorted and the rounding is monotone in it, so row 0 holds each
+    # element's lowest level and the last row its highest: element i only
+    # takes the levels base_i + 0..span, whatever the number of bits.
+    base = raw[0].copy()
+    offsets = np.subtract(raw, base, out=raw)
+    span = int(offsets[-1].max(initial=0))
+    # Every level is >= 0 and levels is a power of two, so & wraps like %.
+    used = (base + np.arange(span + 1)[:, None]) & (levels - 1)
+    # misfit[j, i] = w_i exp(j(used[j, i]*step - phase_i)); np.hypot rounds
+    # each score exactly like the scalar abs(), which np.abs on the array does
+    # not, and an ulp decides between rotation-equivalent patterns.
+    misfit = np.exp(1j * (used * step - phases))
     if w is not None:
         misfit = w * misfit
-    # misfit[patterns[k, i], i] for every k, i, as one flat gather
-    total = misfit.take(patterns * phases.size + np.arange(phases.size)).sum(axis=1)
-    # A copy, so the (K, N) pattern matrix is freed with this call.
-    return patterns[int(np.argmax(np.hypot(total.real, total.imag)))].copy()
+    # misfit[offsets[k, i], i] for every k, i, as one flat gather
+    total = misfit.take(offsets * phases.size + np.arange(phases.size)).sum(axis=1)
+    best = int(np.argmax(np.hypot(total.real, total.imag)))
+    return (base + offsets[best]) & (levels - 1)
 
 
 def build_codebook(scene: SceneConfig, ris: RisGeometry, grid: GridMap) -> Codebook:

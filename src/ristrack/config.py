@@ -1,7 +1,8 @@
 """Experiment configuration: plain `key = value` text files and defaults.
 
 The file format is flat: one `key = value` per line, `#` starts a comment,
-vectors are space-separated.  Unknown keys are rejected so typos fail loudly.
+vectors are space-separated.  Unknown and repeated keys are rejected so typos
+fail loudly.
 
 Every default lives in one place, the dataclass fields (`SceneConfig`,
 `RisGeometry`, `GridMap`, `ExperimentConfig`).  `KEYS` maps each file key to
@@ -153,6 +154,7 @@ def _check(checked: dict[str, float], carrier_frequency: float) -> None:
 
 def parse_config_text(text: str) -> ExperimentConfig:
     parts: dict[str, dict] = {p: {} for p in ("scene", "ris", "grid", "run", "retired", "checked")}
+    first_line: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -166,6 +168,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             part, name, parse = KEYS.get(key) or ("retired", key, _RETIRED_KEYS[key])
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             parts[part][name] = parse(value)
         except ValueError as exc:

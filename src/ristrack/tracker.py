@@ -125,6 +125,8 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
     if method in (Method.GP_EI, Method.TPE_EI):  # cached; looked up before the timer
         tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,
                                          config.gp_length_scale, config.kde_bandwidth)
+    if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
+        acquisition.normal_cdf(0.0)
 
     t0 = time.perf_counter() if config.collect_timing else 0.0
 

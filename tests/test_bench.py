@@ -331,6 +331,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=message):
             parse_config_text(LITERAL_TEMPLATE.replace(line, f"{key} = {bad}"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("epochs = 10\nepochs = 3\n", "^line 2: key 'epochs' repeats line 1$"),
+        ("methods = gp_ei\n# comment\n\nmethods = random tpe_ei\n",
+         "^line 4: key 'methods' repeats line 1$"),
+        ("sweep_resolution = 32\nepochs = 3\nsweep_resolution = 32\n",
+         "^line 3: key 'sweep_resolution' repeats line 1$"),
+        ("light_speed = 3e8\nlight_speed = 2.99792458e8\n",
+         "^line 2: key 'light_speed' repeats line 1$"),
+    ])
+    def test_repeated_key_is_rejected(self, text, message):
+        """A second `key = value` would silently override the first."""
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
     def test_default_text_parses_to_defaults(self):
         config = parse_config_text(DEFAULT_CONFIG_TEXT)
         assert config.scene.carrier_frequency == 5.8e9

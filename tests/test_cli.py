@@ -91,20 +91,52 @@ def test_validate_command(capsys):
     assert out.count("PASS") == 5 and "FAIL" not in out
 
 
-def test_cli_import_loads_no_oracle_or_distance_modules():
-    """Only `validate` needs scipy.integrate, and no module needs scipy.stats
-    or scipy.spatial (which pulls in scipy.sparse and scipy.linalg).
-    scipy.integrate loads scipy.spatial itself, so that is checked on the CLI."""
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this checkout."""
     src = str(Path(ristrack.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    for module, heavy in (("ristrack.cli", ("scipy.spatial", "scipy.sparse", "scipy.stats",
-                                            "scipy.integrate")),
-                          ("ristrack.validate", ("scipy.stats",))):
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_oracle_or_distance_modules():
+    """Only `validate` needs the oracles, and they run on numpy alone; only a
+    GP-EI score needs scipy.special, so importing the package loads no scipy
+    subpackage.  scipy.spatial pulls in scipy.sparse and scipy.linalg, and
+    scipy.integrate pulls in scipy.optimize and scipy.spatial."""
+    for module, heavy in (("ristrack", ("scipy.special",)),
+                          ("ristrack.cli", ("scipy.special", "scipy.spatial", "scipy.sparse",
+                                            "scipy.stats", "scipy.integrate")),
+                          ("ristrack.validate", ("scipy.stats", "scipy.integrate",
+                                                 "scipy.optimize", "scipy.spatial"))):
         code = f"import sys, {module}; print([m for m in {heavy!r} if m in sys.modules])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "[]", module
+        assert _fresh_python(code).strip() == "[]", module
+
+
+def test_scipy_special_loads_for_gp_ei_only_and_before_the_timer():
+    """Episodes without GP-EI never import scipy.special.  A GP-EI slot imports
+    it before its timer starts, so no slot's `elapsed` includes the import:
+    every perf_counter call the slot makes sees it loaded already."""
+    code = """
+import sys, time
+import numpy as np
+from ristrack import bench, tracker
+from ristrack.config import ExperimentConfig
+from ristrack.tracker import Method
+config = ExperimentConfig(total_slots=2)
+scenario = bench.scenario_from_config(config)
+for method in (Method.TPE_EI, Method.ERGODIC, Method.RANDOM):
+    tracker.run_episode(scenario, config, method, 0.2, 1, np.random.default_rng(0))
+print("scipy.special" in sys.modules)
+real = time.perf_counter
+loaded = []
+tracker.time.perf_counter = lambda: loaded.append("scipy.special" in sys.modules) or real()
+tracker.track_slot(tracker.build_slot_env(scenario, 0), config, Method.GP_EI, 0.2,
+                   np.random.default_rng(0))
+print(loaded)
+"""
+    assert _fresh_python(code).split("\n")[:2] == ["False", "[True, True]"]
 
 
 def test_bad_config_fails_with_diagnostic(tmp_path, capsys):

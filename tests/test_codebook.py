@@ -79,7 +79,9 @@ def reference_quantize(phases, bits, sweep_resolution, weights=None) -> list:
 
 
 # sha256 of `codebook_to_text` for the default scene and grid, by (phase bits,
-# square panel side), recorded with the offset-grid quantizer.
+# square panel side).  The 1-3 bit entries were recorded with the offset-grid
+# quantizer, the 6 and 8 bit ones with the sweep that gathered from a table of
+# all 2**bits levels.
 CODEBOOK_SHA256 = {
     (1, 4): "b614ab043c362034372820e5f23196aa31f97327649832b8063060f979b93e9d",
     (1, 10): "3a5e6bfdacfac0633f59bb74748f31ab5103fa6f90173e36b1f0a293764341a4",
@@ -90,6 +92,12 @@ CODEBOOK_SHA256 = {
     (3, 4): "7903691de11a18d7f49a33f564a944fbec70de9cee5e2229d6a4ec34a80ff862",
     (3, 10): "b796a7df1e6f2038c9870d933f5f2070e21f5fbc1cf9f572110536097a4b78eb",
     (3, 16): "064f6e507a357e3e1d9cdcef4b3b1609d6468016c225d4f5e393848835f19167",
+    (6, 4): "72806bf58faf5accf90b869f91eca789254894c254291b527bbab33d4197e7a5",
+    (6, 10): "e80f5b0638fca40adcc5dd429d3b3bb871db363b14b273fc89f81dd380b306b1",
+    (6, 16): "83921e372bc796c81575e9d8211d718319cf9e991e4bd97cf4f566ebf6086cde",
+    (8, 4): "8ba0ebc2b833e8239086122ecee1b34f2e18d186d84055d5cf277c9e59c857c4",
+    (8, 10): "0631a0faa0bd27579c51221640adc5b07c8eb812ced0220fb5a97c3a550720b0",
+    (8, 16): "27911622ce184187cb24556061eb64bffb18dc2350e64c3c6a992d4dd126b776",
 }
 
 
