@@ -13,7 +13,15 @@ import numpy as np
 from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import Method, SlotResult, TrackingScenario, run_episode
+from .tracker import (
+    BO_METHODS,
+    Method,
+    SlotResult,
+    TrackingScenario,
+    run_episode,
+    run_episodes,
+    shares_search,
+)
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -82,12 +90,37 @@ def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Metho
     return results
 
 
+def run_shared_cells(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                     speed: int) -> dict[tuple[Method, float, int], list[SlotResult]]:
+    """`run_cell` for every overhead of a BO method at one speed, from one
+    search per slot at the largest budget (see `tracker.run_episodes`)."""
+    cells = {(method, eta, speed): [] for eta in config.overheads}
+    for epoch in range(config.epochs):
+        episodes = run_episodes(scenario, config, method, config.overheads, speed,
+                                episode_rng(config.master_seed, epoch))
+        for results, episode in zip(cells.values(), episodes):
+            results.extend(episode)
+    return cells
+
+
 def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list[SlotResult]]:
-    """Raw slot results for every cell, keyed by (method, overhead, speed)."""
+    """Raw slot results for every cell, keyed by (method, overhead, speed) in
+    `experiment_cells` order.
+
+    When the overheads can share a search (`tracker.shares_search`), each BO
+    (method, speed) searches once and every overhead reads its budget's
+    prefix; each other cell runs on its own.
+    """
     scenario = scenario_from_config(config)
+    shared = {}
+    if len(config.overheads) > 1 and shares_search(config):
+        for method in config.methods:
+            if method in BO_METHODS:
+                for speed in config.speeds:
+                    shared.update(run_shared_cells(scenario, config, method, speed))
     return {
-        (method, eta, speed): run_cell(scenario, config, method, eta, speed)
-        for method, eta, speed in experiment_cells(config)
+        cell: shared[cell] if cell in shared else run_cell(scenario, config, *cell)
+        for cell in experiment_cells(config)
     }
 
 

@@ -31,6 +31,9 @@ class Method(str, Enum):
     TPE_EI = "tpe_ei"
 
 
+BO_METHODS = (Method.GP_EI, Method.TPE_EI)  # a module constant: Enum attribute lookups are slow
+
+
 def slot_budget(method: Method, eta: float, num_cells: int) -> int:
     """Measurements per slot: the whole codebook for the sweep, else eta of it (at least one)."""
     if method == Method.ERGODIC:
@@ -114,44 +117,67 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
                rng: np.random.Generator, slot_index: int = 1,
                warm_index: int | None = None) -> SlotResult:
     """Run one slot of beam search and report chosen vs. true-best power."""
+    return track_slot_budgets(env, config, method, (eta,), rng, slot_index, warm_index)[0]
+
+
+def track_slot_budgets(env: SlotEnv, config: ExperimentConfig, method: Method,
+                       etas: tuple[float, ...], rng: np.random.Generator, slot_index: int = 1,
+                       warm_index: int | None = None) -> list[SlotResult]:
+    """One search of the slot, read at each eta's budget: one result per eta.
+
+    A BO search runs to the largest budget, and a smaller budget b reads the
+    first b measurements: its pick is their first maximum, and its `elapsed`
+    runs from the search's start until that pick is made.  Random search
+    draws its sample for one budget only.
+    """
     num_cells = env.rsrp_values.shape[0]
     if warm_index is not None and not 0 <= warm_index < num_cells:
         raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
-    budget = slot_budget(method, eta, num_cells)
+    budgets = [slot_budget(method, eta, num_cells) for eta in etas]
+    checkpoints = sorted(set(budgets))
+    if len(checkpoints) > 1 and method == Method.RANDOM:
+        raise ValueError("random search draws a new sample for each budget")
     true_best = int(np.argmax(env.rsrp_values))
 
     noise_rng = rng if config.measure_with_noise else None
     tables = None
-    if method in (Method.GP_EI, Method.TPE_EI):  # cached; looked up before the timer
+    if method in BO_METHODS:  # cached; looked up before the timer
         tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,
                                          config.gp_length_scale, config.kde_bandwidth)
-    if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
-        acquisition.normal_cdf(0.0)
+        if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
+            acquisition.normal_cdf(0.0)
 
-    t0 = time.perf_counter() if config.collect_timing else 0.0
+    clock = time.perf_counter if config.collect_timing else _no_clock
+    t0 = clock()
 
-    if method == Method.ERGODIC:
-        cells = np.arange(num_cells)
-        values = measure(env, cells, noise_rng)
-    elif method == Method.RANDOM:
-        cells = rng.choice(num_cells, size=budget, replace=False)
-        values = measure(env, cells, noise_rng)
+    if method in BO_METHODS:
+        _, picks = _bo_loop(env, method, config.tpe_gamma, rng, checkpoints, warm_index,
+                            noise_rng, tables, clock)
     else:
-        cells, values = _bo_loop(env, method, config.tpe_gamma, rng, budget, warm_index,
-                                 noise_rng, tables)
+        if method == Method.ERGODIC:
+            cells = np.arange(num_cells)
+        else:
+            cells = rng.choice(num_cells, size=checkpoints[0], replace=False)
+        values = measure(env, cells, noise_rng)
+        picks = [(int(cells[np.argmax(values)]), clock())]  # first maximum, in measurement order
 
-    chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
-    elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
+    results = []
+    for budget in budgets:
+        chosen, picked_at = picks[checkpoints.index(budget)]
+        results.append(SlotResult(
+            slot_index=slot_index,
+            true_best_index=true_best,
+            chosen_index=chosen,
+            true_best_rsrp=float(env.rsrp_values[true_best]),
+            achieved_rsrp=float(env.rsrp_values[chosen]),
+            measurements_used=budget,
+            elapsed=picked_at - t0,
+        ))
+    return results
 
-    return SlotResult(
-        slot_index=slot_index,
-        true_best_index=true_best,
-        chosen_index=chosen,
-        true_best_rsrp=float(env.rsrp_values[true_best]),
-        achieved_rsrp=float(env.rsrp_values[chosen]),
-        measurements_used=len(cells),
-        elapsed=elapsed,
-    )
+
+def _no_clock() -> float:
+    return 0.0
 
 
 def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
@@ -171,53 +197,102 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
 
 
 def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
-             budget: int, warm_index: int | None, noise_rng: np.random.Generator | None,
-             tables: surrogate.KernelTables) -> tuple[np.ndarray, list[float]]:
+             budgets: list[int], warm_index: int | None,
+             noise_rng: np.random.Generator | None, tables: surrogate.KernelTables,
+             clock) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Algorithm: one initial codebook entry, then fit -> select -> measure.
 
-    Returns the measured cells and their measured powers, in measurement
-    order.  The surrogate is fit on negated dB power so that the whole
+    Runs to the last of the ascending `budgets`.  Returns the measured cells
+    in measurement order and, per budget b, the first maximum of the first b
+    measured powers with the clock() reading once it is picked.  The
+    surrogate is fit on negated dB power so that the whole
     surrogate/acquisition stack minimizes.  The GP factor is extended by the
     new cell at each step instead of refit.
     """
     history = surrogate.ObservationHistory(tables.num_cells)
     values: list[float] = []  # linear power; the history holds the objective
+    picks: list[tuple[int, float]] = []
 
     def record(k: int) -> None:
         value = measure(env, k, noise_rng)
         values.append(value)
         history.add(k, -10.0 * math.log10(max(value, 1e-300)))  # -lin_to_db(value), on a scalar
 
+    def pick() -> None:  # first maximum, in measurement order
+        picks.append((int(history.cells()[np.argmax(values)]), clock()))
+
     first = warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0]))
     record(first)
+    ahead = iter(budgets)
+    due = next(ahead)
     gp = None
-    for _ in range(budget - 1):
+    for n in range(1, budgets[-1]):  # n measurements so far
+        if n == due:
+            pick()
+            due = next(ahead)
         if method == Method.GP_EI:
             model = gp = surrogate.gp_fit(history, tables, gp)
         else:
             model = surrogate.tpe_fit(history, tables, gamma=gamma)
         # perfbench/spans.py reads the history from this keyword
         record(acquisition.select_next(model, history=history))
-    return history.cells(), values
+    pick()
+    return history.cells(), picks
+
+
+def shares_search(config: ExperimentConfig) -> bool:
+    """Whether a BO slot's searches at every budget are prefixes of one search.
+
+    Without noise or warm start a BO slot draws from the episode's stream
+    once, for its first cell, and each later step depends on the history
+    alone; so every budget measures the same cells in the same order and
+    leaves the stream in the same state for the next slot.
+    """
+    return not (config.measure_with_noise or config.warm_start)
+
+
+def _slot_envs(scenario: TrackingScenario, config: ExperimentConfig, speed: int,
+               rng: np.random.Generator):
+    """Each slot's index and environment along one episode's random walk.
+
+    The UE starts in a uniformly random cell and performs a reflecting random
+    walk; a slot's mobility draws come when its environment is asked for.
+    """
+    grid = scenario.grid
+    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
+    for t in range(1, config.total_slots + 1):
+        cell = mobility_step(cell, speed, grid, rng)
+        yield t, build_slot_env(scenario, cell)
 
 
 def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
                 eta: float, speed: int, rng: np.random.Generator) -> list[SlotResult]:
     """One tracking episode: `total_slots` slots of mobility + per-slot beam search.
 
-    The UE starts in a uniformly random cell and performs a reflecting random
-    walk.  With warm_start the previous slot's chosen entry replaces the
-    random initial measurement.
+    With warm_start the previous slot's chosen entry replaces the random
+    initial measurement.
     """
-    grid = scenario.grid
-    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
     results: list[SlotResult] = []
     prev_chosen: int | None = None
-    for t in range(1, config.total_slots + 1):
-        cell = mobility_step(cell, speed, grid, rng)
-        env = build_slot_env(scenario, cell)
+    for t, env in _slot_envs(scenario, config, speed, rng):
         warm = prev_chosen if config.warm_start else None
         result = track_slot(env, config, method, eta, rng, slot_index=t, warm_index=warm)
         results.append(result)
         prev_chosen = result.chosen_index
     return results
+
+
+def run_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                 etas: tuple[float, ...], speed: int,
+                 rng: np.random.Generator) -> list[list[SlotResult]]:
+    """`run_episode` at each eta in `etas`, from one search per slot.
+
+    Equal, but for `elapsed`, to one `run_episode` per eta, each from a
+    fresh copy of `rng`, whenever `shares_search(config)` holds; other
+    configs are refused.
+    """
+    if not shares_search(config):
+        raise ValueError("noisy or warm-start episodes need one search per eta")
+    slots = [track_slot_budgets(env, config, method, etas, rng, slot_index=t)
+             for t, env in _slot_envs(scenario, config, speed, rng)]
+    return [list(episode) for episode in zip(*slots)]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ristrack
+from ristrack import surrogate
 from ristrack.bench import (
     MetricsRow,
     compute_metrics,
@@ -22,6 +23,7 @@ from ristrack.bench import (
     experiment_cells,
     parse_csv,
     run_experiment,
+    run_cell,
     run_matrix,
     rows_from_matrix,
     scenario_from_config,
@@ -168,6 +170,101 @@ class TestExperimentMatrix:
                        env=env, capture_output=True, check=True, timeout=300)
         csv = (tmp_path / "metrics.csv").read_bytes()
         assert hashlib.sha256(csv).hexdigest() == SEEDED_METRICS_SHA256
+
+
+def without_time(results):
+    return [dataclasses.replace(r, elapsed=0.0) for r in results]
+
+
+BO_MATRIX = dict(methods=(Method.GP_EI, Method.TPE_EI), overheads=(0.2, 0.4, 0.6),
+                 speeds=(1, 2), collect_timing=True)
+
+
+class TestSharedSearch:
+    """Without noise and warm start `run_matrix` searches each BO (method,
+    speed, epoch) once at the largest budget, and each overhead reads its
+    budget's prefix; the rows must be those of one search per cell."""
+
+    def assert_cells_equal_run_cell(self, config):
+        matrix = run_matrix(config)
+        assert list(matrix) == experiment_cells(config)
+        scenario = scenario_from_config(config)
+        for cell, results in matrix.items():
+            assert without_time(results) == without_time(run_cell(scenario, config, *cell)), cell
+            assert all(r.elapsed >= 0.0 for r in results), cell
+        return matrix
+
+    def test_shared_cells_equal_one_search_per_cell(self):
+        config = small_config(**BO_MATRIX)
+        matrix = self.assert_cells_equal_run_cell(config)
+        for method in config.methods:
+            for speed in config.speeds:
+                per_eta = [matrix[(method, eta, speed)] for eta in config.overheads]
+                for slot_results in zip(*per_eta):
+                    used = [r.measurements_used for r in slot_results]
+                    elapsed = [r.elapsed for r in slot_results]
+                    assert used == [20, 40, 60] and elapsed == sorted(elapsed), elapsed
+
+    @pytest.mark.parametrize("setting", ["measure_with_noise", "warm_start"])
+    def test_noisy_and_warm_start_runs_search_once_per_cell(self, setting):
+        config = small_config(**{**BO_MATRIX, "collect_timing": False, setting: True})
+        matrix = run_matrix(config)
+        scenario = scenario_from_config(config)
+        assert list(matrix) == experiment_cells(config)
+        for cell, results in matrix.items():
+            assert results == run_cell(scenario, config, *cell), cell
+
+    def test_budget_one_is_timed_after_the_first_measurement(self):
+        """round(0.004 * 100) = 0, so that overhead measures one cell."""
+        config = small_config(**{**BO_MATRIX, "overheads": (0.004, 0.2)})
+        matrix = self.assert_cells_equal_run_cell(config)
+        for method in config.methods:
+            for one, twenty in zip(matrix[(method, 0.004, 1)], matrix[(method, 0.2, 1)]):
+                assert (one.measurements_used, twenty.measurements_used) == (1, 20)
+                assert 0.0 <= one.elapsed <= twenty.elapsed
+
+    def test_one_cell_grid(self):
+        config = small_config(**BO_MATRIX, grid=GridMap(rows=1, cols=1))
+        for results in self.assert_cells_equal_run_cell(config).values():
+            assert all(r.measurements_used == 1 and r.chosen_index == 0 for r in results)
+
+    def test_overheads_of_one_budget_each_get_their_row(self):
+        """0.2 and 0.204 both round to 20 of 100 cells."""
+        config = small_config(**{**BO_MATRIX, "overheads": (0.4, 0.2, 0.204)})
+        matrix = self.assert_cells_equal_run_cell(config)
+        rows = dict(zip(experiment_cells(config), rows_from_matrix(config, matrix)))
+        for method in config.methods:
+            for speed in config.speeds:
+                low, high = matrix[(method, 0.2, speed)], matrix[(method, 0.204, speed)]
+                assert without_time(low) == without_time(high)
+                assert rows[(method, 0.2, speed)].overhead == rows[(method, 0.204, speed)].overhead == 0.2
+
+    def test_keys_keep_experiment_cell_order(self):
+        config = small_config(methods=(Method.TPE_EI, Method.RANDOM, Method.ERGODIC,
+                                       Method.GP_EI),
+                              overheads=(0.6, 0.2), speeds=(2, 1))
+        assert list(run_matrix(config)) == experiment_cells(config)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_fit_count(self, noisy, monkeypatch):
+        """Σ(largest budget - 1) surrogate fits per BO (method, speed, epoch,
+        slot) when the overheads share a search; Σ over every overhead when
+        each searches on its own."""
+        fits = []
+
+        def counted(fit):
+            def counted_fit(*args, **kwargs):
+                fits.append(fit.__name__)
+                return fit(*args, **kwargs)
+            return counted_fit
+
+        for name in ("gp_fit", "tpe_fit"):
+            monkeypatch.setattr(surrogate, name, counted(getattr(surrogate, name)))
+        config = small_config(**{**BO_MATRIX, "measure_with_noise": noisy})
+        run_matrix(config)
+        slots = len(config.speeds) * config.epochs * config.total_slots  # per method
+        steps = (20 - 1) + (40 - 1) + (60 - 1) if noisy else 60 - 1
+        assert fits.count("gp_fit") == fits.count("tpe_fit") == slots * steps
 
 
 class TestEmission:

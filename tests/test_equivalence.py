@@ -82,13 +82,13 @@ def compared_slots(monkeypatch):
     pairs = []
     production = tracker._bo_loop
 
-    def both(env, method, gamma, rng, budget, warm_index, noise_rng, tables):
+    def both(env, method, gamma, rng, budgets, warm_index, noise_rng, tables, clock):
         ref_rng = copy.deepcopy(rng)
         ref_noise = ref_rng if noise_rng is not None else None
         ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
-                                ref_rng, budget, warm_index,
+                                ref_rng, budgets[-1], warm_index,
                                 lambda k: tracker.measure(env, k, ref_noise))
-        got = production(env, method, gamma, rng, budget, warm_index, noise_rng, tables)
+        got = production(env, method, gamma, rng, budgets, warm_index, noise_rng, tables, clock)
         pairs.append((got[0].tolist(), [k for k, _ in ref]))
         return got
 

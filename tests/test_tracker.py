@@ -30,8 +30,10 @@ from ristrack.tracker import (
     build_slot_env,
     mobility_step,
     run_episode,
+    run_episodes,
     slot_budget,
     track_slot,
+    track_slot_budgets,
 )
 
 from oracles import cell_center, rsrp
@@ -435,10 +437,14 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
     def test_one_call_per_slot_and_per_step(self, scenario, method, monkeypatch):
-        """The call structure the benchmark's span counts assume: per slot one
-        mobility_step, build_slot_env, ris_ue_channel and track_slot; per BO
-        step one fit and one select_next, and on the GP path one gp_posterior
-        and one expected_improvement."""
+        """One eta's episode: per slot one mobility_step, build_slot_env,
+        ris_ue_channel and track_slot; per BO step one fit and one
+        select_next, and on the GP path one gp_posterior and one
+        expected_improvement.  The benchmark's span counts assume this for
+        every cell, but `bench.run_matrix` reads all overheads of a noise-free,
+        cold-start BO method off one search per slot (`run_episodes`), which
+        makes no track_slot call and counts the steps of the largest budget
+        only (see test_bench.py's TestSharedSearch)."""
         counts = {}
 
         def count(module, name):
@@ -465,3 +471,29 @@ class TestRunEpisode:
         if method == Method.GP_EI:
             want.update(gp_posterior=steps, expected_improvement=steps)
         assert counts == want
+
+
+class TestSharedBudgets:
+    @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+    def test_each_budget_reads_a_prefix_of_one_search(self, slot_env, method):
+        etas = (0.6, 0.01, 0.2, 0.004)
+        timed = dataclasses.replace(CONFIG, collect_timing=True)
+        shared = track_slot_budgets(slot_env, timed, method, etas, np.random.default_rng(43))
+        assert [r.measurements_used for r in shared] == [60, 1, 20, 1]
+        for eta, result in zip(etas, shared):
+            alone = track_slot(slot_env, CONFIG, method, eta, np.random.default_rng(43))
+            assert dataclasses.replace(result, elapsed=0.0) == alone
+        elapsed = {r.measurements_used: r.elapsed for r in shared}
+        assert 0.0 <= elapsed[1] <= elapsed[20] <= elapsed[60]
+
+    def test_random_search_serves_one_budget(self, slot_env):
+        with pytest.raises(ValueError, match="random search"):
+            track_slot_budgets(slot_env, CONFIG, Method.RANDOM, (0.2, 0.4),
+                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("setting", ["measure_with_noise", "warm_start"])
+    def test_episodes_refuse_a_budget_dependent_stream(self, scenario, setting):
+        config = dataclasses.replace(CONFIG, **{setting: True})
+        with pytest.raises(ValueError, match="one search per eta"):
+            run_episodes(scenario, config, Method.TPE_EI, (0.2, 0.4), 1,
+                         np.random.default_rng(0))
