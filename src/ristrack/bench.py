@@ -113,6 +113,8 @@ def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list
     """
     scenario = scenario_from_config(config)
     shared = {}
+    # One overhead shares nothing and keeps run_cell -> run_episode ->
+    # track_slot, the calls perfbench/spans.py traces per cell, episode and slot.
     if len(config.overheads) > 1 and shares_search(config):
         for method in config.methods:
             if method in BO_METHODS:

@@ -116,64 +116,69 @@ def build_slot_env(scenario: TrackingScenario, cell: int) -> SlotEnv:
 def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: float,
                rng: np.random.Generator, slot_index: int = 1,
                warm_index: int | None = None) -> SlotResult:
-    """Run one slot of beam search and report chosen vs. true-best power."""
-    return track_slot_budgets(env, config, method, (eta,), rng, slot_index, warm_index)[0]
+    """Run one slot of beam search and report chosen vs. true-best power.
+
+    `warm_index`, if given, is a BO search's first measurement; the sweep and
+    random search have none.
+    """
+    if method in BO_METHODS:
+        return track_slot_budgets(env, config, method, (eta,), rng, slot_index, warm_index)[0]
+    num_cells = env.rsrp_values.shape[0]
+    noise_rng = rng if config.measure_with_noise else None
+    t0 = time.perf_counter() if config.collect_timing else 0.0
+    if method == Method.ERGODIC:
+        cells = np.arange(num_cells)
+    else:
+        cells = rng.choice(num_cells, size=slot_budget(method, eta, num_cells), replace=False)
+    values = measure(env, cells, noise_rng)
+    chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
+    elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
+    return _slot_result(env, slot_index, chosen, len(cells), elapsed)
 
 
 def track_slot_budgets(env: SlotEnv, config: ExperimentConfig, method: Method,
                        etas: tuple[float, ...], rng: np.random.Generator, slot_index: int = 1,
                        warm_index: int | None = None) -> list[SlotResult]:
-    """One search of the slot, read at each eta's budget: one result per eta.
+    """One BO search of the slot, read at each eta's budget: one result per eta.
 
-    A BO search runs to the largest budget, and a smaller budget b reads the
+    The search runs to the largest budget, and a smaller budget b reads the
     first b measurements: its pick is their first maximum, and its `elapsed`
-    runs from the search's start until that pick is made.  Random search
-    draws its sample for one budget only.
+    runs from the search's start until that pick is made.
     """
     num_cells = env.rsrp_values.shape[0]
     if warm_index is not None and not 0 <= warm_index < num_cells:
         raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
     budgets = [slot_budget(method, eta, num_cells) for eta in etas]
     checkpoints = sorted(set(budgets))
-    if len(checkpoints) > 1 and method == Method.RANDOM:
-        raise ValueError("random search draws a new sample for each budget")
-    true_best = int(np.argmax(env.rsrp_values))
-
     noise_rng = rng if config.measure_with_noise else None
-    tables = None
-    if method in BO_METHODS:  # cached; looked up before the timer
-        tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,
-                                         config.gp_length_scale, config.kde_bandwidth)
-        if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
-            acquisition.normal_cdf(0.0)
+    tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,  # cached; before the timer
+                                     config.gp_length_scale, config.kde_bandwidth)
+    if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
+        acquisition.normal_cdf(0.0)
 
     clock = time.perf_counter if config.collect_timing else _no_clock
     t0 = clock()
-
-    if method in BO_METHODS:
-        _, picks = _bo_loop(env, method, config.tpe_gamma, rng, checkpoints, warm_index,
-                            noise_rng, tables, clock)
-    else:
-        if method == Method.ERGODIC:
-            cells = np.arange(num_cells)
-        else:
-            cells = rng.choice(num_cells, size=checkpoints[0], replace=False)
-        values = measure(env, cells, noise_rng)
-        picks = [(int(cells[np.argmax(values)]), clock())]  # first maximum, in measurement order
-
+    _, picks = _bo_loop(env, method, config.tpe_gamma, rng, checkpoints, warm_index,
+                        noise_rng, tables, clock)
     results = []
     for budget in budgets:
-        chosen, picked_at = picks[checkpoints.index(budget)]
-        results.append(SlotResult(
-            slot_index=slot_index,
-            true_best_index=true_best,
-            chosen_index=chosen,
-            true_best_rsrp=float(env.rsrp_values[true_best]),
-            achieved_rsrp=float(env.rsrp_values[chosen]),
-            measurements_used=budget,
-            elapsed=picked_at - t0,
-        ))
+        chosen, used, picked_at = picks[checkpoints.index(budget)]
+        results.append(_slot_result(env, slot_index, chosen, used, picked_at - t0))
     return results
+
+
+def _slot_result(env: SlotEnv, slot_index: int, chosen: int, used: int,
+                 elapsed: float) -> SlotResult:
+    true_best = int(np.argmax(env.rsrp_values))
+    return SlotResult(
+        slot_index=slot_index,
+        true_best_index=true_best,
+        chosen_index=chosen,
+        true_best_rsrp=float(env.rsrp_values[true_best]),
+        achieved_rsrp=float(env.rsrp_values[chosen]),
+        measurements_used=used,
+        elapsed=elapsed,
+    )
 
 
 def _no_clock() -> float:
@@ -199,19 +204,19 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
 def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
              budgets: list[int], warm_index: int | None,
              noise_rng: np.random.Generator | None, tables: surrogate.KernelTables,
-             clock) -> tuple[np.ndarray, list[tuple[int, float]]]:
+             clock) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
     """Algorithm: one initial codebook entry, then fit -> select -> measure.
 
     Runs to the last of the ascending `budgets`.  Returns the measured cells
     in measurement order and, per budget b, the first maximum of the first b
-    measured powers with the clock() reading once it is picked.  The
-    surrogate is fit on negated dB power so that the whole
-    surrogate/acquisition stack minimizes.  The GP factor is extended by the
-    new cell at each step instead of refit.
+    measured powers, how many powers it was picked from and the clock()
+    reading once it is picked.  The surrogate is fit on negated dB power so
+    that the whole surrogate/acquisition stack minimizes.  The GP factor is
+    extended by the new cell at each step instead of refit.
     """
     history = surrogate.ObservationHistory(tables.num_cells)
     values: list[float] = []  # linear power; the history holds the objective
-    picks: list[tuple[int, float]] = []
+    picks: list[tuple[int, int, float]] = []
 
     def record(k: int) -> None:
         value = measure(env, k, noise_rng)
@@ -219,7 +224,7 @@ def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generato
         history.add(k, -10.0 * math.log10(max(value, 1e-300)))  # -lin_to_db(value), on a scalar
 
     def pick() -> None:  # first maximum, in measurement order
-        picks.append((int(history.cells()[np.argmax(values)]), clock()))
+        picks.append((int(history.cells()[np.argmax(values)]), len(values), clock()))
 
     first = warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0]))
     record(first)
@@ -285,14 +290,15 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
 def run_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
                  etas: tuple[float, ...], speed: int,
                  rng: np.random.Generator) -> list[list[SlotResult]]:
-    """`run_episode` at each eta in `etas`, from one search per slot.
+    """`run_episode` of a BO method at each eta in `etas`, from one search per
+    slot.
 
     Equal, but for `elapsed`, to one `run_episode` per eta, each from a
     fresh copy of `rng`, whenever `shares_search(config)` holds; other
     configs are refused.
     """
-    if not shares_search(config):
-        raise ValueError("noisy or warm-start episodes need one search per eta")
+    if method not in BO_METHODS or not shares_search(config):
+        raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
     slots = [track_slot_budgets(env, config, method, etas, rng, slot_index=t)
              for t, env in _slot_envs(scenario, config, speed, rng)]
     return [list(episode) for episode in zip(*slots)]

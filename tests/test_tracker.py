@@ -486,14 +486,10 @@ class TestSharedBudgets:
         elapsed = {r.measurements_used: r.elapsed for r in shared}
         assert 0.0 <= elapsed[1] <= elapsed[20] <= elapsed[60]
 
-    def test_random_search_serves_one_budget(self, slot_env):
-        with pytest.raises(ValueError, match="random search"):
-            track_slot_budgets(slot_env, CONFIG, Method.RANDOM, (0.2, 0.4),
-                               np.random.default_rng(0))
-
-    @pytest.mark.parametrize("setting", ["measure_with_noise", "warm_start"])
-    def test_episodes_refuse_a_budget_dependent_stream(self, scenario, setting):
-        config = dataclasses.replace(CONFIG, **{setting: True})
-        with pytest.raises(ValueError, match="one search per eta"):
-            run_episodes(scenario, config, Method.TPE_EI, (0.2, 0.4), 1,
-                         np.random.default_rng(0))
+    @pytest.mark.parametrize("method, setting", [(Method.TPE_EI, "measure_with_noise"),
+                                                 (Method.TPE_EI, "warm_start"),
+                                                 (Method.RANDOM, None)])
+    def test_episodes_share_only_noise_free_cold_start_bo(self, scenario, method, setting):
+        config = dataclasses.replace(CONFIG, **{setting: True}) if setting else CONFIG
+        with pytest.raises(ValueError, match="share one search"):
+            run_episodes(scenario, config, method, (0.2, 0.4), 1, np.random.default_rng(0))
