@@ -13,15 +13,7 @@ import numpy as np
 from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import (
-    BO_METHODS,
-    Method,
-    SlotResult,
-    TrackingScenario,
-    run_episode,
-    run_episodes,
-    shares_search,
-)
+from .tracker import Method, SlotResult, TrackingScenario, run_episode, shares_search
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -81,24 +73,14 @@ def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
 
 
 def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-             eta: float, speed: int) -> list[SlotResult]:
-    """All slot results for one table cell: `epochs` independent episodes."""
-    results: list[SlotResult] = []
+             etas: tuple[float, ...], speed: int) -> list[list[SlotResult]]:
+    """All slot results for one table cell per eta in `etas`: `epochs`
+    independent episodes each (see `tracker.run_episode`)."""
+    cells: list[list[SlotResult]] = [[] for _ in etas]
     for epoch in range(config.epochs):
-        rng = episode_rng(config.master_seed, epoch)
-        results.extend(run_episode(scenario, config, method, eta, speed, rng))
-    return results
-
-
-def run_shared_cells(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-                     speed: int) -> dict[tuple[Method, float, int], list[SlotResult]]:
-    """`run_cell` for every overhead of a BO method at one speed, from one
-    search per slot at the largest budget (see `tracker.run_episodes`)."""
-    cells = {(method, eta, speed): [] for eta in config.overheads}
-    for epoch in range(config.epochs):
-        episodes = run_episodes(scenario, config, method, config.overheads, speed,
-                                episode_rng(config.master_seed, epoch))
-        for results, episode in zip(cells.values(), episodes):
+        episodes = run_episode(scenario, config, method, etas, speed,
+                               episode_rng(config.master_seed, epoch))
+        for results, episode in zip(cells, episodes):
             results.extend(episode)
     return cells
 
@@ -107,23 +89,18 @@ def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list
     """Raw slot results for every cell, keyed by (method, overhead, speed) in
     `experiment_cells` order.
 
-    When the overheads can share a search (`tracker.shares_search`), each BO
-    (method, speed) searches once and every overhead reads its budget's
-    prefix; each other cell runs on its own.
+    A method whose overheads can share a search (`tracker.shares_search`)
+    searches each speed once and every overhead reads its budget's prefix;
+    any other cell runs on its own.
     """
     scenario = scenario_from_config(config)
-    shared = {}
-    # One overhead shares nothing and keeps run_cell -> run_episode ->
-    # track_slot, the calls perfbench/spans.py traces per cell, episode and slot.
-    if len(config.overheads) > 1 and shares_search(config):
-        for method in config.methods:
-            if method in BO_METHODS:
-                for speed in config.speeds:
-                    shared.update(run_shared_cells(scenario, config, method, speed))
-    return {
-        cell: shared[cell] if cell in shared else run_cell(scenario, config, *cell)
-        for cell in experiment_cells(config)
-    }
+    matrix = {}
+    for method, eta, speed in experiment_cells(config):
+        if (method, eta, speed) not in matrix:
+            etas = tuple(config.overheads) if shares_search(config, method) else (eta,)
+            for overhead, results in zip(etas, run_cell(scenario, config, method, etas, speed)):
+                matrix[(method, overhead, speed)] = results
+    return {cell: matrix[cell] for cell in experiment_cells(config)}
 
 
 def rows_from_matrix(config: ExperimentConfig,

@@ -86,7 +86,7 @@ def _cmd_trace(args) -> int:
     out = _output_dir(args, config)
     scenario = bench.scenario_from_config(config)
     rng = bench.episode_rng(config.master_seed, args.epoch)
-    episode = run_episode(scenario, config, method, args.overhead, args.speed, rng)
+    (episode,) = run_episode(scenario, config, method, (args.overhead,), args.speed, rng)
     path = out / f"trace_{args.method}_eta{args.overhead:g}_s{args.speed}.csv"
     bench.emit_trace(episode, path, grid=config.grid)
     print(f"wrote {path}")

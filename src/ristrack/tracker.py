@@ -145,6 +145,10 @@ def track_slot_budgets(env: SlotEnv, config: ExperimentConfig, method: Method,
     first b measurements: its pick is their first maximum, and its `elapsed`
     runs from the search's start until that pick is made.
     """
+    if method not in BO_METHODS:
+        raise ValueError(f"{method.value} search is not a BO search and has no shared budgets")
+    if not etas:
+        raise ValueError("etas is empty: a slot needs at least one overhead")
     num_cells = env.rsrp_values.shape[0]
     if warm_index is not None and not 0 <= warm_index < num_cells:
         raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
@@ -245,60 +249,46 @@ def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generato
     return history.cells(), picks
 
 
-def shares_search(config: ExperimentConfig) -> bool:
-    """Whether a BO slot's searches at every budget are prefixes of one search.
+def shares_search(config: ExperimentConfig, method: Method) -> bool:
+    """Whether a slot's searches at every budget are prefixes of one search.
 
-    Without noise or warm start a BO slot draws from the episode's stream
+    A BO slot without noise or warm start draws from the episode's stream
     once, for its first cell, and each later step depends on the history
     alone; so every budget measures the same cells in the same order and
     leaves the stream in the same state for the next slot.
     """
-    return not (config.measure_with_noise or config.warm_start)
-
-
-def _slot_envs(scenario: TrackingScenario, config: ExperimentConfig, speed: int,
-               rng: np.random.Generator):
-    """Each slot's index and environment along one episode's random walk.
-
-    The UE starts in a uniformly random cell and performs a reflecting random
-    walk; a slot's mobility draws come when its environment is asked for.
-    """
-    grid = scenario.grid
-    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
-    for t in range(1, config.total_slots + 1):
-        cell = mobility_step(cell, speed, grid, rng)
-        yield t, build_slot_env(scenario, cell)
+    return method in BO_METHODS and not (config.measure_with_noise or config.warm_start)
 
 
 def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-                eta: float, speed: int, rng: np.random.Generator) -> list[SlotResult]:
-    """One tracking episode: `total_slots` slots of mobility + per-slot beam search.
+                etas: tuple[float, ...], speed: int,
+                rng: np.random.Generator) -> list[list[SlotResult]]:
+    """One tracking episode per eta in `etas`: `total_slots` slots of mobility
+    plus per-slot beam search, the UE starting in a uniformly random cell and
+    walking at random, reflected at the grid's edge.
 
-    With warm_start the previous slot's chosen entry replaces the random
-    initial measurement.
+    Several etas share one search per slot, so they need
+    `shares_search(config, method)`.  With warm_start the previous slot's
+    chosen entry replaces the random initial measurement.
     """
-    results: list[SlotResult] = []
-    prev_chosen: int | None = None
-    for t, env in _slot_envs(scenario, config, speed, rng):
-        warm = prev_chosen if config.warm_start else None
-        result = track_slot(env, config, method, eta, rng, slot_index=t, warm_index=warm)
-        results.append(result)
-        prev_chosen = result.chosen_index
-    return results
-
-
-def run_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-                 etas: tuple[float, ...], speed: int,
-                 rng: np.random.Generator) -> list[list[SlotResult]]:
-    """`run_episode` of a BO method at each eta in `etas`, from one search per
-    slot.
-
-    Equal, but for `elapsed`, to one `run_episode` per eta, each from a
-    fresh copy of `rng`, whenever `shares_search(config)` holds; other
-    configs are refused.
-    """
-    if method not in BO_METHODS or not shares_search(config):
+    if not etas:
+        raise ValueError("etas is empty: an episode needs at least one overhead")
+    if len(etas) > 1 and not shares_search(config, method):
         raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
-    slots = [track_slot_budgets(env, config, method, etas, rng, slot_index=t)
-             for t, env in _slot_envs(scenario, config, speed, rng)]
-    return [list(episode) for episode in zip(*slots)]
+    grid = scenario.grid
+    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
+    episodes: list[list[SlotResult]] = [[] for _ in etas]
+    warm: int | None = None
+    for t in range(1, config.total_slots + 1):
+        cell = mobility_step(cell, speed, grid, rng)
+        env = build_slot_env(scenario, cell)
+        # One eta keeps one track_slot call per slot: perfbench/spans.py traces it.
+        if len(etas) == 1:
+            slot = [track_slot(env, config, method, etas[0], rng, slot_index=t, warm_index=warm)]
+        else:
+            slot = track_slot_budgets(env, config, method, etas, rng, slot_index=t)
+        if config.warm_start:
+            warm = slot[0].chosen_index
+        for episode, result in zip(episodes, slot):
+            episode.append(result)
+    return episodes

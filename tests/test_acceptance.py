@@ -244,8 +244,8 @@ def _pipeline(config: ExperimentConfig, out_dir, tag: str):
     csv_path = out_dir / f"metrics_{tag}.csv"
     emit_csv(rows, csv_path)
     scenario = scenario_from_config(config)
-    episode = run_episode(scenario, config, Method.TPE_EI, 0.4, speed=1,
-                          rng=episode_rng(config.master_seed, 0))
+    (episode,) = run_episode(scenario, config, Method.TPE_EI, (0.4,), speed=1,
+                             rng=episode_rng(config.master_seed, 0))
     trace_path = out_dir / f"trace_{tag}.csv"
     emit_trace(episode, trace_path, grid=config.grid)
     return csv_path.read_bytes(), trace_path.read_bytes()

@@ -2,8 +2,10 @@
 CSV/trace emission and round trips, matrix shape, and seeded determinism.
 """
 
+import ast
 import dataclasses
 import hashlib
+import importlib
 import math
 import os
 import subprocess
@@ -31,7 +33,7 @@ from ristrack.bench import (
 from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
-from ristrack.tracker import Method, SlotResult, run_episode
+from ristrack.tracker import Method, SlotResult, build_slot_env, run_episode, track_slot
 
 # sha256 of `metrics.csv` for the default config with epochs = 5 and
 # collect_timing = false.
@@ -189,9 +191,10 @@ class TestSharedSearch:
         matrix = run_matrix(config)
         assert list(matrix) == experiment_cells(config)
         scenario = scenario_from_config(config)
-        for cell, results in matrix.items():
-            assert without_time(results) == without_time(run_cell(scenario, config, *cell)), cell
-            assert all(r.elapsed >= 0.0 for r in results), cell
+        for (method, eta, speed), results in matrix.items():
+            (alone,) = run_cell(scenario, config, method, (eta,), speed)
+            assert without_time(results) == without_time(alone), (method, eta, speed)
+            assert all(r.elapsed >= 0.0 for r in results), (method, eta, speed)
         return matrix
 
     def test_shared_cells_equal_one_search_per_cell(self):
@@ -211,8 +214,9 @@ class TestSharedSearch:
         matrix = run_matrix(config)
         scenario = scenario_from_config(config)
         assert list(matrix) == experiment_cells(config)
-        for cell, results in matrix.items():
-            assert results == run_cell(scenario, config, *cell), cell
+        for (method, eta, speed), results in matrix.items():
+            (alone,) = run_cell(scenario, config, method, (eta,), speed)
+            assert results == alone, (method, eta, speed)
 
     def test_budget_one_is_timed_after_the_first_measurement(self):
         """round(0.004 * 100) = 0, so that overhead measures one cell."""
@@ -267,6 +271,24 @@ class TestSharedSearch:
         assert fits.count("gp_fit") == fits.count("tpe_fit") == slots * steps
 
 
+def test_benchmark_span_points_resolve():
+    """Every function `perfbench/spans.py` wraps exists under its home module,
+    and `track_slot` returns the `SlotResult` whose `measurements_used` the
+    tracer reads: a rename fails here, not in a traced benchmark run."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
+    points = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "SPAN_POINTS")
+    for home, name in points:
+        assert callable(getattr(importlib.import_module(f"ristrack.{home}"), name, None)), name
+    config = small_config()
+    scenario = scenario_from_config(config)
+    env = build_slot_env(scenario, 0)
+    for method in Method:
+        assert isinstance(track_slot(env, config, method, 0.2, np.random.default_rng(0)),
+                          SlotResult), method
+
+
 class TestEmission:
     def test_empty_rows_gives_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -299,8 +321,8 @@ class TestEmission:
         config = small_config(methods=(Method.ERGODIC,), epochs=1)
         scenario = scenario_from_config(config)
         assert config.total_slots == 3 and not config.collect_timing
-        episode = run_episode(scenario, config, Method.ERGODIC, 1.0, speed=1,
-                              rng=np.random.default_rng(5))
+        (episode,) = run_episode(scenario, config, Method.ERGODIC, (1.0,), speed=1,
+                                 rng=np.random.default_rng(5))
         path = tmp_path / "trace.csv"
         emit_trace(episode, path, grid=config.grid)
         lines = path.read_text().splitlines()

@@ -127,7 +127,7 @@ from ristrack.tracker import Method
 config = ExperimentConfig(total_slots=2)
 scenario = bench.scenario_from_config(config)
 for method in (Method.TPE_EI, Method.ERGODIC, Method.RANDOM):
-    tracker.run_episode(scenario, config, method, 0.2, 1, np.random.default_rng(0))
+    tracker.run_episode(scenario, config, method, (0.2,), 1, np.random.default_rng(0))
 print("scipy.special" in sys.modules)
 real = time.perf_counter
 loaded = []

@@ -109,7 +109,7 @@ def test_seeded_episodes_measure_identical_cells(scenario, compared_slots, metho
                                                  noisy, warm_start):
     config = dataclasses.replace(CONFIG, warm_start=warm_start, measure_with_noise=noisy)
     for epoch in range(2):
-        run_episode(scenario, config, method, eta, speed=1 + epoch,
+        run_episode(scenario, config, method, (eta,), speed=1 + epoch,
                     rng=episode_rng(20240817, epoch))
     assert len(compared_slots) == 2 * config.total_slots
     for got, ref in compared_slots:

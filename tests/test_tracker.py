@@ -30,7 +30,6 @@ from ristrack.tracker import (
     build_slot_env,
     mobility_step,
     run_episode,
-    run_episodes,
     slot_budget,
     track_slot,
     track_slot_budgets,
@@ -365,10 +364,10 @@ def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, 
             for epoch in range(3):
                 with monkeypatch.context() as m:
                     m.setattr(tracker, "track_slot", reference_track_slot)
-                    ref = run_episode(scenario, cfg, method, eta, 1 + epoch % 2,
-                                      episode_rng(803, epoch))
-                got = run_episode(scenario, cfg, method, eta, 1 + epoch % 2,
-                                  episode_rng(803, epoch))
+                    (ref,) = run_episode(scenario, cfg, method, (eta,), 1 + epoch % 2,
+                                         episode_rng(803, epoch))
+                (got,) = run_episode(scenario, cfg, method, (eta,), 1 + epoch % 2,
+                                     episode_rng(803, epoch))
                 assert got == ref
 
 
@@ -398,53 +397,52 @@ def test_slot_signals_are_the_cell_centre_channel_bit_for_bit(grid):
 class TestRunEpisode:
     def test_single_slot_episode(self, scenario):
         cfg = dataclasses.replace(CONFIG, total_slots=1)
-        results = run_episode(scenario, cfg, Method.ERGODIC, 1.0, speed=1,
-                              rng=np.random.default_rng(0))
+        (results,) = run_episode(scenario, cfg, Method.ERGODIC, (1.0,), speed=1,
+                                 rng=np.random.default_rng(0))
         assert len(results) == 1
         assert results[0].slot_index == 1
 
     def test_default_length_is_twelve(self, scenario):
-        results = run_episode(scenario, CONFIG, Method.RANDOM, 0.2, speed=2,
-                              rng=np.random.default_rng(1))
+        (results,) = run_episode(scenario, CONFIG, Method.RANDOM, (0.2,), speed=2,
+                                 rng=np.random.default_rng(1))
         assert [r.slot_index for r in results] == list(range(1, 13))
 
     @pytest.mark.parametrize("method", list(Method))
     def test_fixed_seed_reproduces_episode(self, scenario, method):
-        a = run_episode(scenario, CONFIG, method, 0.2, speed=1, rng=np.random.default_rng(23))
-        b = run_episode(scenario, CONFIG, method, 0.2, speed=1, rng=np.random.default_rng(23))
+        (a,) = run_episode(scenario, CONFIG, method, (0.2,), speed=1, rng=np.random.default_rng(23))
+        (b,) = run_episode(scenario, CONFIG, method, (0.2,), speed=1, rng=np.random.default_rng(23))
         assert a == b  # bit-identical dataclasses, elapsed pinned to 0.0
 
     def test_achieved_never_exceeds_true_best(self, scenario):
         for method in (Method.RANDOM, Method.GP_EI, Method.TPE_EI):
-            for r in run_episode(scenario, CONFIG, method, 0.4, speed=2,
-                                 rng=np.random.default_rng(29)):
+            for r in run_episode(scenario, CONFIG, method, (0.4,), speed=2,
+                                 rng=np.random.default_rng(29))[0]:
                 assert r.achieved_rsrp <= r.true_best_rsrp
 
     def test_warm_start_seeds_with_previous_choice(self, scenario):
         cfg = dataclasses.replace(CONFIG, warm_start=True)
-        results = run_episode(scenario, cfg, Method.TPE_EI, 0.2, speed=1,
-                              rng=np.random.default_rng(31))
+        (results,) = run_episode(scenario, cfg, Method.TPE_EI, (0.2,), speed=1,
+                                 rng=np.random.default_rng(31))
         assert len(results) == 12
         assert all(r.measurements_used == 20 for r in results)
 
     def test_warm_start_changes_the_search(self, scenario):
         warm = dataclasses.replace(CONFIG, warm_start=True)
-        a = run_episode(scenario, CONFIG, Method.TPE_EI, 0.2, speed=1,
-                        rng=np.random.default_rng(37))
-        b = run_episode(scenario, warm, Method.TPE_EI, 0.2, speed=1,
-                        rng=np.random.default_rng(37))
+        (a,) = run_episode(scenario, CONFIG, Method.TPE_EI, (0.2,), speed=1,
+                           rng=np.random.default_rng(37))
+        (b,) = run_episode(scenario, warm, Method.TPE_EI, (0.2,), speed=1,
+                           rng=np.random.default_rng(37))
         assert a != b
 
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
     def test_one_call_per_slot_and_per_step(self, scenario, method, monkeypatch):
-        """One eta's episode: per slot one mobility_step, build_slot_env,
-        ris_ue_channel and track_slot; per BO step one fit and one
-        select_next, and on the GP path one gp_posterior and one
-        expected_improvement.  The benchmark's span counts assume this for
-        every cell, but `bench.run_matrix` reads all overheads of a noise-free,
-        cold-start BO method off one search per slot (`run_episodes`), which
-        makes no track_slot call and counts the steps of the largest budget
-        only (see test_bench.py's TestSharedSearch)."""
+        """Per slot one mobility_step, build_slot_env and ris_ue_channel, and
+        for one eta one track_slot; per BO step one fit and one select_next,
+        and on the GP path one gp_posterior and one expected_improvement.
+        The benchmark's span counts assume this for every one-eta cell.  Two
+        etas share one search per slot, which makes no track_slot call and
+        counts the steps of the largest budget only (see test_bench.py's
+        TestSharedSearch)."""
         counts = {}
 
         def count(module, name):
@@ -463,14 +461,18 @@ class TestRunEpisode:
         for name in ("select_next", "gp_posterior", "expected_improvement"):
             count(tracker.acquisition, name)
         cfg = dataclasses.replace(CONFIG, total_slots=3)
-        run_episode(scenario, cfg, method, 0.2, speed=1, rng=np.random.default_rng(41))
-        steps = 3 * (slot_budget(method, 0.2, 100) - 1)
         fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
-        want = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3, "track_slot": 3,
-                fit: steps, "select_next": steps}
-        if method == Method.GP_EI:
-            want.update(gp_posterior=steps, expected_improvement=steps)
-        assert counts == want
+        for etas in ((0.2,), (0.2, 0.4)):
+            counts.clear()
+            run_episode(scenario, cfg, method, etas, speed=1, rng=np.random.default_rng(41))
+            steps = 3 * (slot_budget(method, max(etas), 100) - 1)
+            want = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3,
+                    fit: steps, "select_next": steps}
+            if len(etas) == 1:
+                want["track_slot"] = 3
+            if method == Method.GP_EI:
+                want.update(gp_posterior=steps, expected_improvement=steps)
+            assert counts == want, etas
 
 
 class TestSharedBudgets:
@@ -492,4 +494,16 @@ class TestSharedBudgets:
     def test_episodes_share_only_noise_free_cold_start_bo(self, scenario, method, setting):
         config = dataclasses.replace(CONFIG, **{setting: True}) if setting else CONFIG
         with pytest.raises(ValueError, match="share one search"):
-            run_episodes(scenario, config, method, (0.2, 0.4), 1, np.random.default_rng(0))
+            run_episode(scenario, config, method, (0.2, 0.4), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method", [Method.ERGODIC, Method.RANDOM])
+    def test_only_bo_searches_read_budgets(self, slot_env, method):
+        with pytest.raises(ValueError, match=method.value):
+            track_slot_budgets(slot_env, CONFIG, method, (0.2,), np.random.default_rng(0))
+
+    def test_empty_etas_rejected(self, scenario, slot_env):
+        """Not a StopIteration, which would end a caller's loop silently."""
+        with pytest.raises(ValueError, match="etas"):
+            track_slot_budgets(slot_env, CONFIG, Method.GP_EI, (), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="etas"):
+            run_episode(scenario, CONFIG, Method.GP_EI, (), 1, np.random.default_rng(0))
