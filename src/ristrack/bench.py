@@ -13,7 +13,8 @@ import numpy as np
 from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import Method, SlotResult, TrackingScenario, run_episode, shares_search
+from .tracker import (Method, SlotResult, TrackingScenario, draw_slots, run_episode,
+                      search_slots, shares_search)
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -75,7 +76,16 @@ def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
 def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
              etas: tuple[float, ...], speed: int) -> list[list[SlotResult]]:
     """All slot results for one table cell per eta in `etas`: `epochs`
-    independent episodes each (see `tracker.run_episode`)."""
+    independent episodes each (see `tracker.run_episode`).
+
+    A method that shares its search (`tracker.shares_search`) first draws
+    every episode, then searches all of their slots as one batch of lanes.
+    """
+    if shares_search(config, method):
+        slots = [slot for epoch in range(config.epochs)
+                 for slot in draw_slots(scenario.grid, speed, config.total_slots,
+                                        episode_rng(config.master_seed, epoch))]
+        return search_slots(scenario, config, method, etas, slots)
     cells: list[list[SlotResult]] = [[] for _ in etas]
     for epoch in range(config.epochs):
         episodes = run_episode(scenario, config, method, etas, speed,
@@ -90,8 +100,8 @@ def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list
     `experiment_cells` order.
 
     A method whose overheads can share a search (`tracker.shares_search`)
-    searches each speed once and every overhead reads its budget's prefix;
-    any other cell runs on its own.
+    searches each speed once, as lanes, and every overhead reads its
+    budget's prefix; any other cell runs on its own.
     """
     scenario = scenario_from_config(config)
     matrix = {}

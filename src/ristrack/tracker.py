@@ -121,65 +121,40 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
     `warm_index`, if given, is a BO search's first measurement; the sweep and
     random search have none.
     """
+    num_cells = env.rsrp_values.shape[0]
+    budget = slot_budget(method, eta, num_cells)
+    noise_rng = rng if config.measure_with_noise else None
     if method in BO_METHODS:
-        return track_slot_budgets(env, config, method, (eta,), rng, slot_index, warm_index)[0]
-    num_cells = env.rsrp_values.shape[0]
-    noise_rng = rng if config.measure_with_noise else None
+        if warm_index is not None and not 0 <= warm_index < num_cells:
+            raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
+        tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,  # cached; before the timer
+                                         config.gp_length_scale, config.kde_bandwidth)
+        if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
+            acquisition.normal_cdf(0.0)
     t0 = time.perf_counter() if config.collect_timing else 0.0
-    if method == Method.ERGODIC:
-        cells = np.arange(num_cells)
+    if method in BO_METHODS:
+        chosen = _bo_loop(env, method, config.tpe_gamma, rng, budget, warm_index, noise_rng,
+                          tables)[1]
     else:
-        cells = rng.choice(num_cells, size=slot_budget(method, eta, num_cells), replace=False)
-    values = measure(env, cells, noise_rng)
-    chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
+        if method == Method.ERGODIC:
+            cells = np.arange(num_cells)
+        else:
+            cells = rng.choice(num_cells, size=budget, replace=False)
+        values = measure(env, cells, noise_rng)
+        chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
     elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
-    return _slot_result(env, slot_index, chosen, len(cells), elapsed)
+    return _slot_result(env.rsrp_values, slot_index, chosen, budget, elapsed)
 
 
-def track_slot_budgets(env: SlotEnv, config: ExperimentConfig, method: Method,
-                       etas: tuple[float, ...], rng: np.random.Generator, slot_index: int = 1,
-                       warm_index: int | None = None) -> list[SlotResult]:
-    """One BO search of the slot, read at each eta's budget: one result per eta.
-
-    The search runs to the largest budget, and a smaller budget b reads the
-    first b measurements: its pick is their first maximum, and its `elapsed`
-    runs from the search's start until that pick is made.
-    """
-    if method not in BO_METHODS:
-        raise ValueError(f"{method.value} search is not a BO search and has no shared budgets")
-    if not etas:
-        raise ValueError("etas is empty: a slot needs at least one overhead")
-    num_cells = env.rsrp_values.shape[0]
-    if warm_index is not None and not 0 <= warm_index < num_cells:
-        raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
-    budgets = [slot_budget(method, eta, num_cells) for eta in etas]
-    checkpoints = sorted(set(budgets))
-    noise_rng = rng if config.measure_with_noise else None
-    tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,  # cached; before the timer
-                                     config.gp_length_scale, config.kde_bandwidth)
-    if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
-        acquisition.normal_cdf(0.0)
-
-    clock = time.perf_counter if config.collect_timing else _no_clock
-    t0 = clock()
-    _, picks = _bo_loop(env, method, config.tpe_gamma, rng, checkpoints, warm_index,
-                        noise_rng, tables, clock)
-    results = []
-    for budget in budgets:
-        chosen, used, picked_at = picks[checkpoints.index(budget)]
-        results.append(_slot_result(env, slot_index, chosen, used, picked_at - t0))
-    return results
-
-
-def _slot_result(env: SlotEnv, slot_index: int, chosen: int, used: int,
+def _slot_result(rsrp: np.ndarray, slot_index: int, chosen: int, used: int,
                  elapsed: float) -> SlotResult:
-    true_best = int(np.argmax(env.rsrp_values))
+    true_best = int(np.argmax(rsrp))
     return SlotResult(
         slot_index=slot_index,
         true_best_index=true_best,
         chosen_index=chosen,
-        true_best_rsrp=float(env.rsrp_values[true_best]),
-        achieved_rsrp=float(env.rsrp_values[chosen]),
+        true_best_rsrp=float(rsrp[true_best]),
+        achieved_rsrp=float(rsrp[chosen]),
         measurements_used=used,
         elapsed=elapsed,
     )
@@ -206,47 +181,219 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
 
 
 def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
-             budgets: list[int], warm_index: int | None,
-             noise_rng: np.random.Generator | None, tables: surrogate.KernelTables,
-             clock) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
+             budget: int, warm_index: int | None, noise_rng: np.random.Generator | None,
+             tables: surrogate.KernelTables) -> tuple[np.ndarray, int]:
     """Algorithm: one initial codebook entry, then fit -> select -> measure.
 
-    Runs to the last of the ascending `budgets`.  Returns the measured cells
-    in measurement order and, per budget b, the first maximum of the first b
-    measured powers, how many powers it was picked from and the clock()
-    reading once it is picked.  The surrogate is fit on negated dB power so
-    that the whole surrogate/acquisition stack minimizes.  The GP factor is
-    extended by the new cell at each step instead of refit.
+    Returns the `budget` measured cells in measurement order and the pick: the
+    first maximum of the measured powers.  The surrogate is fit on negated dB
+    power so that the whole surrogate/acquisition stack minimizes.  The GP
+    factor is extended by the new cell at each step instead of refit.  This is
+    the route of noisy and warm-start slots, whose next slot depends on this
+    slot's noise and pick; `search_lanes` runs every other BO slot.
     """
     history = surrogate.ObservationHistory(tables.num_cells)
     values: list[float] = []  # linear power; the history holds the objective
-    picks: list[tuple[int, int, float]] = []
 
     def record(k: int) -> None:
         value = measure(env, k, noise_rng)
         values.append(value)
         history.add(k, -10.0 * math.log10(max(value, 1e-300)))  # -lin_to_db(value), on a scalar
 
-    def pick() -> None:  # first maximum, in measurement order
-        picks.append((int(history.cells()[np.argmax(values)]), len(values), clock()))
-
-    first = warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0]))
-    record(first)
-    ahead = iter(budgets)
-    due = next(ahead)
+    record(warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0])))
     gp = None
-    for n in range(1, budgets[-1]):  # n measurements so far
-        if n == due:
-            pick()
-            due = next(ahead)
+    for _ in range(1, budget):
         if method == Method.GP_EI:
             model = gp = surrogate.gp_fit(history, tables, gp)
         else:
             model = surrogate.tpe_fit(history, tables, gamma=gamma)
         # perfbench/spans.py reads the history from this keyword
         record(acquisition.select_next(model, history=history))
-    pick()
-    return history.cells(), picks
+    cells = history.cells()
+    return cells, int(cells[np.argmax(values)])  # first maximum, in measurement order
+
+
+LANE_CAP = 24  # lanes per lockstep chunk: bounds the (lanes, budget, cells) GP factor
+
+
+@dataclass(frozen=True, eq=False)
+class LaneSearch:
+    """What `search_lanes` found: per budget (in the order asked) and lane."""
+
+    chosen: np.ndarray   # (budgets, lanes) cell picked at each budget
+    used: np.ndarray     # (budgets,) measurements each pick was made from, counted
+    elapsed: np.ndarray  # (budgets, lanes) chunk seconds to the pick / lanes in the chunk
+    cells: np.ndarray    # (lanes, largest budget) measured cells in measurement order
+    steps: int           # lane-steps run: one fit and one pick per lane and step
+
+
+def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
+                 budgets: tuple[int, ...], tables: surrogate.KernelTables, gamma: float,
+                 clock=_no_clock) -> LaneSearch:
+    """Noise-free, cold-start BO searches of many slots, in lockstep.
+
+    Lane l searches the slot whose exact powers are `rsrp[l]`, starting from
+    cell `first[l]`, and measures exactly the cells `_bo_loop` would: every
+    fit and score is the per-slot arithmetic stacked along a leading lane
+    axis, with the same BLAS calls and summation orders, so no pick moves.
+    The search runs to the largest budget, and budget b reads the first b
+    measurements: its pick is their first maximum.  Lanes run in chunks of
+    LANE_CAP; a lane's time to a pick is its chunk's time, divided by the
+    chunk's lanes.  `clock` times the chunks (by default every time is 0).
+    """
+    if method not in BO_METHODS:
+        raise ValueError(f"{method.value} search is not a BO search and has no lanes")
+    if not budgets:
+        raise ValueError("budgets is empty: a search needs at least one")
+    lanes, num_cells = rsrp.shape
+    if num_cells != tables.num_cells or not 1 <= min(budgets) <= max(budgets) <= num_cells:
+        raise ValueError(f"budgets {budgets} do not fit the grid's {tables.num_cells} cells")
+    first = np.asarray(first, dtype=np.intp)
+    if first.shape != (lanes,) or not ((0 <= first) & (first < num_cells)).all():
+        raise ValueError(f"first cells must be {lanes} indices of the grid's {num_cells} cells")
+    checkpoints = sorted(set(budgets))
+    chosen = np.empty((len(checkpoints), lanes), dtype=np.intp)
+    used = np.empty(len(checkpoints), dtype=np.intp)
+    elapsed = np.zeros((len(checkpoints), lanes))
+    cells = np.empty((lanes, checkpoints[-1]), dtype=np.intp)
+    steps = 0
+    for lo in range(0, lanes, LANE_CAP):
+        part = slice(lo, lo + LANE_CAP)
+        steps += _search_chunk(rsrp[part], first[part], method, checkpoints, tables, gamma,
+                               clock, chosen[:, part], used, elapsed[:, part], cells[part])
+    rows = [checkpoints.index(b) for b in budgets]
+    return LaneSearch(chosen=chosen[rows], used=used[rows], elapsed=elapsed[rows], cells=cells,
+                      steps=steps)
+
+
+def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoints: list[int],
+                  tables: surrogate.KernelTables, gamma: float, clock, chosen: np.ndarray,
+                  used: np.ndarray, elapsed: np.ndarray, cells: np.ndarray) -> int:
+    """One chunk of `search_lanes`: fills its lanes' part of chosen, used,
+    elapsed and cells; returns its lane-steps."""
+    lanes, num_cells = rsrp.shape
+    top = checkpoints[-1]
+    lane = np.arange(lanes)
+    values = np.empty((lanes, top))  # linear power, in measurement order
+    y = np.empty((lanes, top))       # the objective, negated dB power
+    seen = np.zeros((lanes, num_cells), dtype=bool)
+    best = np.full(lanes, np.inf)
+    gp = _GpLanes(lanes, top, tables) if method == Method.GP_EI else None
+
+    def record(n: int, new: np.ndarray) -> None:
+        cells[:, n] = new
+        seen[lane, new] = True
+        values[:, n] = rsrp[lane, new]
+        y[:, n] = [-10.0 * math.log10(max(v, 1e-300)) for v in values[:, n].tolist()]
+        np.minimum(best, y[:, n], out=best)  # propagates NaN as ObservationHistory.best does
+
+    t0 = clock()
+    record(0, first)
+    due = steps = 0
+    for n in range(1, top + 1):  # n measurements so far
+        if n == checkpoints[due]:  # first maximum, in measurement order
+            chosen[due] = cells[lane, values[:, :n].argmax(axis=1)]
+            used[due] = n
+            elapsed[due] = (clock() - t0) / lanes
+            due += 1
+            if n == top:
+                break
+        if gp is not None:
+            gp.append(n - 1, cells[:, n - 1], y[:, n - 1])
+            new = gp.select(y[:, :n], seen, best)
+        else:
+            new = _tpe_select(y[:, :n], cells[:, :n], seen, tables.parzen, gamma)
+        record(n, new)
+        steps += lanes
+    return steps
+
+
+class _GpLanes:
+    """`surrogate.GpModel` stacked over lanes: factor rows w (lanes, budget,
+    cells), beta, w_sq and the posterior mean, grown one row per step."""
+
+    def __init__(self, lanes: int, top: int, tables: surrogate.KernelTables):
+        num_cells = tables.num_cells
+        self.corr = tables.corr
+        self.lane = np.arange(lanes)
+        self.w = np.empty((lanes, top, num_cells))
+        self.beta = np.empty((lanes, top, 1))
+        self.w_sq = np.zeros((lanes, num_cells))
+        self.mean = np.zeros((lanes, num_cells))
+        # GpModel dots a strided factor column, and OpenBLAS sums a strided
+        # vector in another order than a contiguous one: the gathered column
+        # goes to a buffer with the same non-unit stride.
+        self._column = np.empty((lanes, 1, top, 2))
+
+    def append(self, i: int, cell: np.ndarray, value: np.ndarray) -> None:
+        """GpModel._append of each lane's i-th measurement."""
+        column = self._column[:, :, :i, 0]
+        column[:, 0] = self.w[self.lane, :i, cell]
+        pivot_sq = 1.0 + surrogate.JITTER_SCALE - self.w_sq[self.lane, cell]
+        if not (pivot_sq > 0.0).all():
+            raise surrogate.GpConditioningError(
+                f"kernel matrix not positive definite: pivot^2 = {pivot_sq.min()}")
+        pivot = np.sqrt(pivot_sq)
+        w_new = self.w[:, i]
+        np.subtract(self.corr[cell], np.matmul(column, self.w[:, :i])[:, 0], out=w_new)
+        w_new /= pivot[:, None]
+        beta = (value - np.matmul(column, self.beta[:, :i])[:, 0, 0]) / pivot
+        self.beta[:, i, 0] = beta
+        self.w_sq += w_new * w_new
+        self.mean += beta[:, None] * w_new
+
+    def select(self, y: np.ndarray, seen: np.ndarray, best: np.ndarray) -> np.ndarray:
+        """select_next's expected-improvement pick per lane, on gp_fit's theta1."""
+        lanes, n = y.shape
+        centered = y - np.add.reduce(y, axis=1, keepdims=True) / n
+        theta1 = np.matmul(centered[:, None], centered[:, :, None])[:, 0] / n
+        np.maximum(theta1, 1e-12, out=theta1)
+        remaining = np.flatnonzero(~seen).reshape(lanes, -1)  # flat (lane, cell) indices
+        mean = self.mean.take(remaining)
+        var = theta1 * (1.0 - self.w_sq.take(remaining))
+        # expected_improvement picks its formula on the whole array, so a lane
+        # with a variance <= 0 (or NaN) is scored with the clamped lanes only.
+        if np.minimum.reduce(var, axis=None) > 0.0:  # False on NaN
+            scores = acquisition.expected_improvement(mean, var, best[:, None])
+        else:
+            ok = np.minimum.reduce(var, axis=1) > 0.0
+            scores = np.empty_like(var)
+            if ok.any():
+                scores[ok] = acquisition.expected_improvement(mean[ok], var[ok], best[ok, None])
+            bad = ~ok
+            lowest = np.fmin.reduce(var[bad], axis=None, initial=0.0)  # skips NaN
+            if lowest < -1e-10:
+                raise surrogate.GpConditioningError(f"negative posterior variance: {lowest}")
+            scores[bad] = acquisition.expected_improvement(
+                mean[bad], np.maximum(var[bad], 0.0), best[bad, None])
+        return remaining[self.lane, scores.argmax(axis=1)] - self.lane * seen.shape[1]
+
+
+def _tpe_select(y: np.ndarray, cells: np.ndarray, seen: np.ndarray, parzen: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """tpe_fit and select_next's density-ratio pick per lane."""
+    n = y.shape[1]
+    ranked = cells[np.arange(len(cells))[:, None], y.argsort(axis=1, kind="stable")]
+    n_good = math.ceil(gamma * n)
+    scores = acquisition._density_ratio(_lane_density(parzen, ranked[:, :n_good]),
+                                        _lane_density(parzen, ranked[:, n_good:]))
+    scores[seen] = -np.inf
+    return scores.argmax(axis=1)
+
+
+def _lane_density(parzen: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """surrogate._parzen_density per lane of `cells` (lanes, k): (lanes, cells).
+
+    Each mixture is summed along the contiguous last axis of one gather and
+    normalized along a contiguous row, the per-slot summation orders."""
+    lanes, k = cells.shape
+    num_cells = parzen.shape[0]
+    if k == 0:
+        return np.full((lanes, num_cells), 1.0 / num_cells)
+    raw = np.ascontiguousarray(np.add.reduce(parzen.take(cells, axis=1), axis=2).T)
+    raw /= k
+    raw /= np.add.reduce(raw, axis=1, keepdims=True)
+    return raw
 
 
 def shares_search(config: ExperimentConfig, method: Method) -> bool:
@@ -255,9 +402,47 @@ def shares_search(config: ExperimentConfig, method: Method) -> bool:
     A BO slot without noise or warm start draws from the episode's stream
     once, for its first cell, and each later step depends on the history
     alone; so every budget measures the same cells in the same order and
-    leaves the stream in the same state for the next slot.
+    leaves the stream in the same state for the next slot.  Such slots are
+    independent of one another once drawn, and `search_slots` runs them as lanes.
     """
     return method in BO_METHODS and not (config.measure_with_noise or config.warm_start)
+
+
+def _start_cell(grid: GridMap, rng: np.random.Generator) -> int:
+    return grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
+
+
+def draw_slots(grid: GridMap, speed: int, total_slots: int,
+               rng: np.random.Generator) -> list[tuple[int, int]]:
+    """(cell, first measured cell) of each slot of a noise-free, cold-start BO
+    episode: the draws `run_episode` makes, in its order, with no search."""
+    cell = _start_cell(grid, rng)
+    slots = []
+    for _ in range(total_slots):
+        cell = mobility_step(cell, speed, grid, rng)
+        slots.append((cell, int(rng.integers(grid.num_cells))))
+    return slots
+
+
+def search_slots(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                 etas: tuple[float, ...], slots: list[tuple[int, int]]) -> list[list[SlotResult]]:
+    """One result list per eta for `slots`, whole episodes of `draw_slots`
+    pairs in order, searched as lanes by `search_lanes`."""
+    rsrp = np.stack([build_slot_env(scenario, cell).rsrp_values for cell, _ in slots])
+    first = np.array([k for _, k in slots], dtype=np.intp)
+    tables = surrogate.kernel_tables(scenario.grid.rows, scenario.grid.cols,
+                                     config.gp_length_scale, config.kde_bandwidth)
+    if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
+        acquisition.normal_cdf(0.0)
+    budgets = tuple(slot_budget(method, eta, rsrp.shape[1]) for eta in etas)
+    found = search_lanes(rsrp, first, method, budgets, tables, config.tpe_gamma,
+                         time.perf_counter if config.collect_timing else _no_clock)
+    # A chunk's lanes share one time per budget, so their results share one
+    # float object: 8 bytes per slot, not 32, in any list that keeps the times.
+    times: dict[float, float] = {}
+    return [[_slot_result(row, i % config.total_slots + 1, pick, used, times.setdefault(secs, secs))
+             for i, (row, pick, secs) in enumerate(zip(rsrp, chosen.tolist(), spent.tolist()))]
+            for chosen, used, spent in zip(found.chosen, found.used.tolist(), found.elapsed)]
 
 
 def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
@@ -268,27 +453,26 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
     walking at random, reflected at the grid's edge.
 
     Several etas share one search per slot, so they need
-    `shares_search(config, method)`.  With warm_start the previous slot's
-    chosen entry replaces the random initial measurement.
+    `shares_search(config, method)`; such an episode is drawn first and
+    searched as lanes.  With warm_start the previous slot's chosen entry
+    replaces the random initial measurement.
     """
     if not etas:
         raise ValueError("etas is empty: an episode needs at least one overhead")
-    if len(etas) > 1 and not shares_search(config, method):
+    if shares_search(config, method):
+        return search_slots(scenario, config, method, etas,
+                            draw_slots(scenario.grid, speed, config.total_slots, rng))
+    if len(etas) > 1:
         raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
     grid = scenario.grid
-    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
-    episodes: list[list[SlotResult]] = [[] for _ in etas]
+    cell = _start_cell(grid, rng)
+    episode: list[SlotResult] = []
     warm: int | None = None
     for t in range(1, config.total_slots + 1):
         cell = mobility_step(cell, speed, grid, rng)
-        env = build_slot_env(scenario, cell)
-        # One eta keeps one track_slot call per slot: perfbench/spans.py traces it.
-        if len(etas) == 1:
-            slot = [track_slot(env, config, method, etas[0], rng, slot_index=t, warm_index=warm)]
-        else:
-            slot = track_slot_budgets(env, config, method, etas, rng, slot_index=t)
+        result = track_slot(build_slot_env(scenario, cell), config, method, etas[0], rng,
+                            slot_index=t, warm_index=warm)
         if config.warm_start:
-            warm = slot[0].chosen_index
-        for episode, result in zip(episodes, slot):
-            episode.append(result)
-    return episodes
+            warm = result.chosen_index
+        episode.append(result)
+    return [episode]

@@ -1,13 +1,18 @@
 """Reference routes only the tests compare the production code against.
 
 Each computes one quantity directly from its definition, with no caching,
-tables or batching.  The oracles `ristrack validate` runs live in
-`ristrack.validate`.
+tables or batching; `replay_episode` and `replay_cell` run the per-slot search
+(`tracker.track_slot`) that the lockstep lanes stack.  The oracles `ristrack
+validate` runs live in `ristrack.validate`.
 """
+
+import copy
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ristrack import tracker
+from ristrack.bench import episode_rng
 from ristrack.channel import Vec3
 from ristrack.codebook import GridMap
 
@@ -56,3 +61,37 @@ def parzen_density(points: np.ndarray, at: np.ndarray, bandwidth: float) -> np.n
         return np.full(at.shape[0], 1.0 / at.shape[0])
     raw = np.exp(-0.5 * cdist(at / bandwidth, points / bandwidth, "sqeuclidean")).mean(axis=1)
     return raw / float(np.sum(raw))
+
+
+def replay_episode(scenario, config, method, etas, speed, rng):
+    """Per-slot reference for a noise-free, cold-start BO episode: one result
+    list per eta.
+
+    Each slot makes `run_episode`'s draws in its order, then runs `track_slot`
+    once per eta, each from a copy of the stream; the stream goes on from the
+    copies' common state, as one search per slot leaves it.
+    """
+    grid = scenario.grid
+    cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
+    episodes = [[] for _ in etas]
+    for t in range(1, config.total_slots + 1):
+        cell = tracker.mobility_step(cell, speed, grid, rng)
+        env = tracker.build_slot_env(scenario, cell)
+        streams = [copy.deepcopy(rng) for _ in etas]
+        for episode, eta, stream in zip(episodes, etas, streams):
+            episode.append(tracker.track_slot(env, config, method, eta, stream, slot_index=t))
+        states = [stream.bit_generator.state for stream in streams]
+        assert all(state == states[0] for state in states)
+        rng.bit_generator.state = states[0]
+    return episodes
+
+
+def replay_cell(scenario, config, method, etas, speed):
+    """`replay_episode` over every epoch: the reference for `bench.run_cell`."""
+    cells = [[] for _ in etas]
+    for epoch in range(config.epochs):
+        episodes = replay_episode(scenario, config, method, etas, speed,
+                                  episode_rng(config.master_seed, epoch))
+        for results, episode in zip(cells, episodes):
+            results.extend(episode)
+    return cells

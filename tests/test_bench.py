@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ristrack
-from ristrack import surrogate
+from ristrack import surrogate, tracker
 from ristrack.bench import (
     MetricsRow,
     compute_metrics,
@@ -34,6 +34,8 @@ from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
 from ristrack.tracker import Method, SlotResult, build_slot_env, run_episode, track_slot
+
+from oracles import replay_cell
 
 # sha256 of `metrics.csv` for the default config with epochs = 5 and
 # collect_timing = false.
@@ -184,22 +186,23 @@ BO_MATRIX = dict(methods=(Method.GP_EI, Method.TPE_EI), overheads=(0.2, 0.4, 0.6
 
 class TestSharedSearch:
     """Without noise and warm start `run_matrix` searches each BO (method,
-    speed, epoch) once at the largest budget, and each overhead reads its
-    budget's prefix; the rows must be those of one search per cell."""
+    speed, epoch, slot) once at the largest budget, as a lane, and each
+    overhead reads its budget's prefix; the rows must be those of one
+    `track_slot` search per slot and overhead (`oracles.replay_cell`)."""
 
-    def assert_cells_equal_run_cell(self, config):
+    def assert_cells_equal_replay(self, config):
         matrix = run_matrix(config)
         assert list(matrix) == experiment_cells(config)
         scenario = scenario_from_config(config)
         for (method, eta, speed), results in matrix.items():
-            (alone,) = run_cell(scenario, config, method, (eta,), speed)
+            (alone,) = replay_cell(scenario, config, method, (eta,), speed)
             assert without_time(results) == without_time(alone), (method, eta, speed)
             assert all(r.elapsed >= 0.0 for r in results), (method, eta, speed)
         return matrix
 
     def test_shared_cells_equal_one_search_per_cell(self):
         config = small_config(**BO_MATRIX)
-        matrix = self.assert_cells_equal_run_cell(config)
+        matrix = self.assert_cells_equal_replay(config)
         for method in config.methods:
             for speed in config.speeds:
                 per_eta = [matrix[(method, eta, speed)] for eta in config.overheads]
@@ -221,7 +224,7 @@ class TestSharedSearch:
     def test_budget_one_is_timed_after_the_first_measurement(self):
         """round(0.004 * 100) = 0, so that overhead measures one cell."""
         config = small_config(**{**BO_MATRIX, "overheads": (0.004, 0.2)})
-        matrix = self.assert_cells_equal_run_cell(config)
+        matrix = self.assert_cells_equal_replay(config)
         for method in config.methods:
             for one, twenty in zip(matrix[(method, 0.004, 1)], matrix[(method, 0.2, 1)]):
                 assert (one.measurements_used, twenty.measurements_used) == (1, 20)
@@ -229,13 +232,13 @@ class TestSharedSearch:
 
     def test_one_cell_grid(self):
         config = small_config(**BO_MATRIX, grid=GridMap(rows=1, cols=1))
-        for results in self.assert_cells_equal_run_cell(config).values():
+        for results in self.assert_cells_equal_replay(config).values():
             assert all(r.measurements_used == 1 and r.chosen_index == 0 for r in results)
 
     def test_overheads_of_one_budget_each_get_their_row(self):
         """0.2 and 0.204 both round to 20 of 100 cells."""
         config = small_config(**{**BO_MATRIX, "overheads": (0.4, 0.2, 0.204)})
-        matrix = self.assert_cells_equal_run_cell(config)
+        matrix = self.assert_cells_equal_replay(config)
         rows = dict(zip(experiment_cells(config), rows_from_matrix(config, matrix)))
         for method in config.methods:
             for speed in config.speeds:
@@ -251,10 +254,12 @@ class TestSharedSearch:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_fit_count(self, noisy, monkeypatch):
-        """Σ(largest budget - 1) surrogate fits per BO (method, speed, epoch,
-        slot) when the overheads share a search; Σ over every overhead when
-        each searches on its own."""
+        """(largest budget - 1) search steps per BO (method, speed, epoch,
+        slot) when the overheads share a search: lane-steps, counted by the
+        lane engine, and no surrogate fit; Σ(budget - 1) surrogate fits over
+        every overhead when each searches on its own."""
         fits = []
+        lane_steps = {}
 
         def counted(fit):
             def counted_fit(*args, **kwargs):
@@ -262,13 +267,25 @@ class TestSharedSearch:
                 return fit(*args, **kwargs)
             return counted_fit
 
+        def counted_search(rsrp, first, method, *args, **kwargs):
+            found = search(rsrp, first, method, *args, **kwargs)
+            lane_steps[method.value] = lane_steps.get(method.value, 0) + found.steps
+            return found
+
         for name in ("gp_fit", "tpe_fit"):
             monkeypatch.setattr(surrogate, name, counted(getattr(surrogate, name)))
+        search = tracker.search_lanes
+        monkeypatch.setattr(tracker, "search_lanes", counted_search)
         config = small_config(**{**BO_MATRIX, "measure_with_noise": noisy})
         run_matrix(config)
         slots = len(config.speeds) * config.epochs * config.total_slots  # per method
-        steps = (20 - 1) + (40 - 1) + (60 - 1) if noisy else 60 - 1
-        assert fits.count("gp_fit") == fits.count("tpe_fit") == slots * steps
+        if noisy:
+            steps = (20 - 1) + (40 - 1) + (60 - 1)
+            assert fits.count("gp_fit") == fits.count("tpe_fit") == slots * steps
+            assert lane_steps == {}
+        else:
+            assert lane_steps == {"gp_ei": slots * (60 - 1), "tpe_ei": slots * (60 - 1)}
+            assert fits == []
 
 
 def test_benchmark_span_points_resolve():
@@ -287,6 +304,21 @@ def test_benchmark_span_points_resolve():
     for method in Method:
         assert isinstance(track_slot(env, config, method, 0.2, np.random.default_rng(0)),
                           SlotResult), method
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_runs_the_bo_workload(trace):
+    """One short bo-long run of the benchmark, untraced and traced, exits 0
+    and reports a correct run.  Its traced run divides the model spans' self
+    time by itself plus `track_slot`'s, so a BO route that reaches no span
+    point at all fails here."""
+    root = Path(__file__).parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+                           "bo-long", "--seed", "7", "--seconds", "0.1", "--epochs", "1",
+                           "--trace", trace],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert '"correct": true' in proc.stdout.strip().splitlines()[-1]
 
 
 class TestEmission:

@@ -11,9 +11,10 @@ import pytest
 
 import ristrack
 from ristrack.cli import OUTPUT_DIR_ENV, main
-from ristrack.bench import parse_csv, scenario_from_config
+from ristrack.bench import emit_trace, parse_csv, run_matrix, scenario_from_config
 from ristrack.codebook import codebook_to_text
 from ristrack.config import KEYS, ExperimentConfig, load_config
+from ristrack.tracker import Method
 
 TINY_CONFIG = """\
 methods = ergodic random
@@ -83,6 +84,20 @@ def test_trace_command(tiny_config, tmp_path):
     trace = (out / "trace_tpe_ei_eta0.4_s1.csv").read_text().splitlines()
     assert trace[0].startswith("t,true_row")
     assert len(trace) == 3  # header + total_slots lines
+
+
+@pytest.mark.parametrize("method", ["gp_ei", "tpe_ei"])
+def test_trace_is_the_matrix_episode(method, tmp_path):
+    """`ristrack trace` and `ristrack run` take one route: the traced episode
+    is byte for byte the same episode cut from the matrix."""
+    assert main(["trace", "--out", str(tmp_path), "--method", method, "--overhead", "0.4",
+                 "--speed", "2", "--epoch", "3"]) == 0
+    config = ExperimentConfig(methods=(Method(method),), epochs=5, collect_timing=False)
+    cell = run_matrix(config)[(Method(method), 0.4, 2)]
+    episode = cell[3 * config.total_slots:4 * config.total_slots]
+    emit_trace(episode, tmp_path / "from_matrix.csv", grid=config.grid)
+    traced = tmp_path / f"trace_{method}_eta0.4_s2.csv"
+    assert traced.read_bytes() == (tmp_path / "from_matrix.csv").read_bytes()
 
 
 def test_validate_command(capsys):

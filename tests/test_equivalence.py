@@ -20,9 +20,10 @@ from ristrack import tracker
 from ristrack.acquisition import expected_improvement, select_next
 from ristrack.bench import episode_rng, scenario_from_config
 from ristrack.channel import lin_to_db
+from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
-from ristrack.tracker import Method, run_episode, slot_budget
+from ristrack.tracker import Method, SlotEnv, run_episode, slot_budget
 
 from oracles import parzen_density
 
@@ -78,21 +79,37 @@ def reference_bo_loop(env, config, method, rng, budget, warm_index, measure):
 
 @pytest.fixture
 def compared_slots(monkeypatch):
-    """Run every BO slot through both loops; collect (new, reference) sequences."""
-    pairs = []
-    production = tracker._bo_loop
+    """Run every BO slot through both loops; collect (new, reference) sequences.
 
-    def both(env, method, gamma, rng, budgets, warm_index, noise_rng, tables, clock):
+    A slot searched on its own runs `_bo_loop`; a noise-free, cold-start slot
+    runs as a lane of `search_lanes`, whose reference starts at the lane's
+    first cell."""
+    pairs = []
+    production, lanes = tracker._bo_loop, tracker.search_lanes
+
+    def both(env, method, gamma, rng, budget, warm_index, noise_rng, tables):
         ref_rng = copy.deepcopy(rng)
         ref_noise = ref_rng if noise_rng is not None else None
         ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
-                                ref_rng, budgets[-1], warm_index,
+                                ref_rng, budget, warm_index,
                                 lambda k: tracker.measure(env, k, ref_noise))
-        got = production(env, method, gamma, rng, budgets, warm_index, noise_rng, tables, clock)
+        got = production(env, method, gamma, rng, budget, warm_index, noise_rng, tables)
         pairs.append((got[0].tolist(), [k for k, _ in ref]))
         return got
 
+    def each_lane(rsrp, first, method, budgets, tables, gamma, *args, **kwargs):
+        got = lanes(rsrp, first, method, budgets, tables, gamma, *args, **kwargs)
+        rows, cols = (int(x) + 1 for x in tables.coords[-1])
+        grid = GridMap(rows=rows, cols=cols)
+        for row, start, cells in zip(rsrp, first, got.cells):
+            env = SlotEnv(grid=grid, signals=np.sqrt(row) + 0j, rsrp_values=row, noise_power=0.0)
+            ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
+                                    None, max(budgets), int(start), lambda k: row[k])
+            pairs.append((cells.tolist(), [k for k, _ in ref]))
+        return got
+
     monkeypatch.setattr(tracker, "_bo_loop", both)
+    monkeypatch.setattr(tracker, "search_lanes", each_lane)
     return pairs
 
 

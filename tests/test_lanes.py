@@ -1,0 +1,163 @@
+"""The lockstep lane engine against the per-slot search it stacks.
+
+`tracker.search_lanes` runs every noise-free, cold-start BO slot of a
+(method, speed) as one batch.  Its reference is `oracles.replay_cell`: each
+slot replays the draws and runs `track_slot` once per overhead.  Every
+`SlotResult` field but `elapsed` must be equal.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ristrack import tracker
+from ristrack.bench import run_cell, scenario_from_config
+from ristrack.codebook import GridMap
+from ristrack.config import ExperimentConfig
+from ristrack.surrogate import GpConditioningError, KernelTables, kernel_tables
+from ristrack.tracker import Method, SlotEnv, search_lanes, slot_budget, track_slot
+
+from oracles import replay_cell
+
+BO = [Method.GP_EI, Method.TPE_EI]
+
+
+def config(**overrides):
+    base = dict(methods=tuple(BO), epochs=2, speeds=(1,), collect_timing=False)
+    return dataclasses.replace(ExperimentConfig(), **{**base, **overrides})
+
+
+def without_time(results):
+    return [dataclasses.replace(r, elapsed=0.0) for r in results]
+
+
+def assert_lanes_equal_replay(cfg, method, etas, speed=1):
+    scenario = scenario_from_config(cfg)
+    got = run_cell(scenario, cfg, method, etas, speed)
+    want = replay_cell(scenario, cfg, method, etas, speed)
+    assert len(got) == len(etas)
+    for eta, lanes, slots in zip(etas, got, want):
+        assert len(lanes) == cfg.epochs * cfg.total_slots
+        assert without_time(lanes) == without_time(slots), eta
+    return got
+
+
+@pytest.mark.parametrize("etas", [(0.2, 0.4, 0.6), (0.004, 0.2), (0.2, 0.204)])
+@pytest.mark.parametrize("method", BO)
+def test_lanes_equal_one_search_per_slot_and_overhead(method, etas):
+    assert_lanes_equal_replay(config(overheads=etas), method, etas, speed=2)
+
+
+@pytest.mark.parametrize("rows, cols", [(10, 10), (3, 5), (1, 7), (1, 1)])
+@pytest.mark.parametrize("method", BO)
+def test_full_budget_on_any_grid(method, rows, cols):
+    """At eta 1.0 every lane measures every cell, down to the 1x1 grid."""
+    cfg = config(grid=GridMap(rows=rows, cols=cols), overheads=(1.0,))
+    (results,) = assert_lanes_equal_replay(cfg, method, (1.0,))
+    assert all(r.measurements_used == rows * cols for r in results)
+    assert all(r.chosen_index == r.true_best_index for r in results)
+
+
+@pytest.mark.parametrize("method", BO)
+def test_non_default_hyperparameters(method):
+    cfg = config(gp_length_scale=1.3, kde_bandwidth=0.7, tpe_gamma=0.4, overheads=(0.2, 0.5))
+    assert_lanes_equal_replay(cfg, method, (0.2, 0.5))
+
+
+@pytest.mark.parametrize("method", BO)
+def test_lane_count_not_a_multiple_of_the_cap(method, monkeypatch):
+    """24 lanes in chunks of 5: four full chunks and one of 4.  Each lane's
+    time is its chunk's time to the pick over the chunk's lanes."""
+    monkeypatch.setattr(tracker, "LANE_CAP", 5)
+    cfg = config(overheads=(0.2, 0.4), collect_timing=True)
+    small, large = assert_lanes_equal_replay(cfg, method, (0.2, 0.4))
+    for chunk in range(5):
+        lanes = slice(5 * chunk, 5 * chunk + 5)
+        assert len({r.elapsed for r in small[lanes]}) == len({r.elapsed for r in large[lanes]}) == 1
+        assert 0.0 < small[lanes][0].elapsed <= large[lanes][0].elapsed
+
+
+def mirror_env() -> SlotEnv:
+    """A 10x10 slot whose powers are symmetric about the main diagonal, with
+    the tied-value fixture of test_equivalence.py at its four cells: 44 and
+    55 at 70 dB, 0 and 99 at 50 dB.  A history of cells on the diagonal
+    scores every cell (r, c) exactly as its mirror (c, r)."""
+    r, c = np.divmod(np.arange(100), 10)
+    db = 40.0 + ((r + c) % 3) + 0.5 * np.minimum(r, c)
+    db[[44, 55]], db[[0, 99]] = 70.0, 50.0
+    power = 10.0 ** (db / 10.0)
+    return SlotEnv(grid=GridMap(), signals=np.sqrt(power) + 0j, rsrp_values=power,
+                   noise_power=0.0)
+
+
+@pytest.mark.parametrize("method", BO)
+def test_mirror_ties_break_as_in_the_per_slot_search(method):
+    """Lanes starting at each fixture cell pick the lower index of every
+    mirror tie, as track_slot does from the same first cell."""
+    env = mirror_env()
+    first = [44, 55, 0, 99]
+    etas = (0.2, 0.6)
+    budgets = tuple(slot_budget(method, eta, 100) for eta in etas)
+    found = search_lanes(np.stack([env.rsrp_values] * len(first)), first, method, budgets,
+                         kernel_tables(10, 10), 0.25)
+    cfg = config()
+    for lane, start in enumerate(first):
+        for j, eta in enumerate(etas):
+            alone = track_slot(env, cfg, method, eta, np.random.default_rng(0), warm_index=start)
+            assert found.chosen[j, lane] == alone.chosen_index, (start, eta)
+    assert found.steps == len(first) * (max(budgets) - 1)
+
+
+def indefinite_tables() -> KernelTables:
+    """3x3 tables whose correlation is not positive definite: every
+    off-diagonal entry is 2, so the second pivot of any factor is negative."""
+    tables = kernel_tables(3, 3)
+    corr = np.full((9, 9), 2.0)
+    np.fill_diagonal(corr, 1.0)
+    return KernelTables(coords=tables.coords, corr=corr, parzen=tables.parzen)
+
+
+def test_indefinite_kernel_raises_on_both_routes():
+    """A non-positive pivot raises GpConditioningError in the lanes and in
+    the per-slot loop alike, instead of a NaN factor and NaN picks."""
+    power = np.arange(1.0, 10.0)
+    env = SlotEnv(grid=GridMap(rows=3, cols=3), signals=np.sqrt(power) + 0j,
+                  rsrp_values=power, noise_power=0.0)
+    tables = indefinite_tables()
+    with pytest.raises(GpConditioningError, match="not positive definite"):
+        search_lanes(np.stack([power, power[::-1]]), [0, 4], Method.GP_EI, (5,), tables, 0.25)
+    with pytest.raises(GpConditioningError, match="not positive definite"):
+        tracker._bo_loop(env, Method.GP_EI, 0.25, np.random.default_rng(0), 5, None, None,
+                         tables)
+
+
+def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop():
+    """expected_improvement picks its formula on the whole array, so a lane
+    with a variance <= 0 is scored apart from the others.  Cells 0 and 1
+    correlate by 2 here: after a first measurement at 0 or 1 the other one's
+    variance is negative (clamped to 0), while lanes starting elsewhere keep
+    every variance positive.  Each lane picks as `_bo_loop` does."""
+    tables = kernel_tables(3, 3)
+    corr = tables.corr.copy()
+    corr[0, 1] = corr[1, 0] = 2.0
+    tables = KernelTables(coords=tables.coords, corr=corr, parzen=tables.parzen)
+    power = np.array([3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0, 6.0, 5.5])
+    env = SlotEnv(grid=GridMap(rows=3, cols=3), signals=np.sqrt(power) + 0j,
+                  rsrp_values=power, noise_power=0.0)
+    first = [0, 5, 1, 8]
+    found = search_lanes(np.stack([power] * len(first)), first, Method.GP_EI, (2,), tables, 0.25)
+    for lane, start in enumerate(first):
+        cells, chosen = tracker._bo_loop(env, Method.GP_EI, 0.25, None, 2, start, None, tables)
+        assert found.cells[lane].tolist() == cells.tolist() and found.chosen[0, lane] == chosen
+
+
+def test_lane_inputs_are_checked():
+    tables = kernel_tables(3, 3)
+    rsrp = np.ones((2, 9))
+    for first in ([0], [0, 9], [-1, 0]):
+        with pytest.raises(ValueError, match="first cells"):
+            search_lanes(rsrp, first, Method.TPE_EI, (3,), tables, 0.25)
+    for budgets in ((0,), (10,)):
+        with pytest.raises(ValueError, match="do not fit"):
+            search_lanes(rsrp, [0, 1], Method.TPE_EI, budgets, tables, 0.25)

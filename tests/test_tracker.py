@@ -30,9 +30,9 @@ from ristrack.tracker import (
     build_slot_env,
     mobility_step,
     run_episode,
+    search_lanes,
     slot_budget,
     track_slot,
-    track_slot_budgets,
 )
 
 from oracles import cell_center, rsrp
@@ -436,13 +436,13 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
     def test_one_call_per_slot_and_per_step(self, scenario, method, monkeypatch):
-        """Per slot one mobility_step, build_slot_env and ris_ue_channel, and
-        for one eta one track_slot; per BO step one fit and one select_next,
-        and on the GP path one gp_posterior and one expected_improvement.
-        The benchmark's span counts assume this for every one-eta cell.  Two
-        etas share one search per slot, which makes no track_slot call and
-        counts the steps of the largest budget only (see test_bench.py's
-        TestSharedSearch)."""
+        """Per slot one mobility_step, build_slot_env and ris_ue_channel.  A
+        warm-start episode searches slot by slot: one track_slot per slot, and
+        per BO step one fit and one select_next, and on the GP path one
+        gp_posterior and one expected_improvement.  A noise-free, cold-start
+        episode searches its slots as lanes, with no track_slot or fit call:
+        its lane-steps are slots x (largest budget - 1), and GP-EI scores all
+        lanes with one expected_improvement call per step."""
         counts = {}
 
         def count(module, name):
@@ -460,32 +460,57 @@ class TestRunEpisode:
             count(tracker.surrogate, name)
         for name in ("select_next", "gp_posterior", "expected_improvement"):
             count(tracker.acquisition, name)
-        cfg = dataclasses.replace(CONFIG, total_slots=3)
+        lane_steps = []
+        search = tracker.search_lanes
+
+        def counted_search(*args, **kwargs):
+            found = search(*args, **kwargs)
+            lane_steps.append(found.steps)
+            return found
+
+        monkeypatch.setattr(tracker, "search_lanes", counted_search)
         fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
+        per_slot = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3}
+
+        warm = dataclasses.replace(CONFIG, total_slots=3, warm_start=True)
+        counts.clear()
+        run_episode(scenario, warm, method, (0.2,), speed=1, rng=np.random.default_rng(41))
+        steps = 3 * (slot_budget(method, 0.2, 100) - 1)
+        want = {**per_slot, "track_slot": 3, fit: steps, "select_next": steps}
+        if method == Method.GP_EI:
+            want.update(gp_posterior=steps, expected_improvement=steps)
+        assert counts == want and lane_steps == []
+
+        cold = dataclasses.replace(CONFIG, total_slots=3)
         for etas in ((0.2,), (0.2, 0.4)):
             counts.clear()
-            run_episode(scenario, cfg, method, etas, speed=1, rng=np.random.default_rng(41))
-            steps = 3 * (slot_budget(method, max(etas), 100) - 1)
-            want = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3,
-                    fit: steps, "select_next": steps}
-            if len(etas) == 1:
-                want["track_slot"] = 3
+            lane_steps.clear()
+            run_episode(scenario, cold, method, etas, speed=1, rng=np.random.default_rng(41))
+            budget = slot_budget(method, max(etas), 100)
+            want = dict(per_slot)
             if method == Method.GP_EI:
-                want.update(gp_posterior=steps, expected_improvement=steps)
+                want["expected_improvement"] = budget - 1
             assert counts == want, etas
+            assert lane_steps == [3 * (budget - 1)], etas
 
 
 class TestSharedBudgets:
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
     def test_each_budget_reads_a_prefix_of_one_search(self, slot_env, method):
+        """One lane of the engine, read at four budgets, picks what a search
+        with each budget alone picks; a smaller budget's pick comes sooner."""
         etas = (0.6, 0.01, 0.2, 0.004)
-        timed = dataclasses.replace(CONFIG, collect_timing=True)
-        shared = track_slot_budgets(slot_env, timed, method, etas, np.random.default_rng(43))
-        assert [r.measurements_used for r in shared] == [60, 1, 20, 1]
-        for eta, result in zip(etas, shared):
+        budgets = tuple(slot_budget(method, eta, 100) for eta in etas)
+        assert budgets == (60, 1, 20, 1)
+        tables = tracker.surrogate.kernel_tables(10, 10)
+        first = [int(np.random.default_rng(43).integers(100))]
+        found = search_lanes(slot_env.rsrp_values[None], first, method, budgets, tables,
+                             CONFIG.tpe_gamma, tracker.time.perf_counter)
+        assert found.used.tolist() == [60, 1, 20, 1]
+        for eta, chosen, used in zip(etas, found.chosen[:, 0], found.used):
             alone = track_slot(slot_env, CONFIG, method, eta, np.random.default_rng(43))
-            assert dataclasses.replace(result, elapsed=0.0) == alone
-        elapsed = {r.measurements_used: r.elapsed for r in shared}
+            assert (chosen, used) == (alone.chosen_index, alone.measurements_used)
+        elapsed = dict(zip(budgets, found.elapsed[:, 0]))
         assert 0.0 <= elapsed[1] <= elapsed[20] <= elapsed[60]
 
     @pytest.mark.parametrize("method, setting", [(Method.TPE_EI, "measure_with_noise"),
@@ -499,11 +524,13 @@ class TestSharedBudgets:
     @pytest.mark.parametrize("method", [Method.ERGODIC, Method.RANDOM])
     def test_only_bo_searches_read_budgets(self, slot_env, method):
         with pytest.raises(ValueError, match=method.value):
-            track_slot_budgets(slot_env, CONFIG, method, (0.2,), np.random.default_rng(0))
+            search_lanes(slot_env.rsrp_values[None], [0], method, (20,),
+                         tracker.surrogate.kernel_tables(10, 10), CONFIG.tpe_gamma)
 
     def test_empty_etas_rejected(self, scenario, slot_env):
         """Not a StopIteration, which would end a caller's loop silently."""
-        with pytest.raises(ValueError, match="etas"):
-            track_slot_budgets(slot_env, CONFIG, Method.GP_EI, (), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="budgets"):
+            search_lanes(slot_env.rsrp_values[None], [0], Method.GP_EI, (),
+                         tracker.surrogate.kernel_tables(10, 10), CONFIG.tpe_gamma)
         with pytest.raises(ValueError, match="etas"):
             run_episode(scenario, CONFIG, Method.GP_EI, (), 1, np.random.default_rng(0))
