@@ -1,5 +1,6 @@
 """Physical layer: scene geometry and the BS->RIS and RIS->UE channels that
-`tracker.build_slot_env` combines into every codeword's received power.
+`tracker.TrackingScenario` combines into every codeword's received power,
+one table row per grid cell, built the first time a slot reads that cell.
 
 All channel coefficients are narrowband complex gains.  Free-space entries
 carry an amplitude of lambda/(4*pi*d) and a propagation phase of

@@ -73,10 +73,20 @@ class SlotResult:
     elapsed: float
 
 
-@dataclass
+@dataclass(eq=False)
 class TrackingScenario:
-    """Immutable per-experiment setup: scene, RIS, grid and codebook, plus the
-    two arrays every slot reads, computed once."""
+    """Per-experiment setup: scene, RIS, grid and codebook, the arrays every
+    slot reads, computed once, and a table of slot environments.
+
+    The UE always sits at a cell centre, so a run has one slot environment
+    per cell: row k of `signals` is every codeword's received sample with
+    the UE in cell k, `rsrp` its |.|^2 and `true_best[k]` that row's first
+    maximum.  A row is built on the first read of its cell (`fill`), so
+    setup makes no channel call, with the per-row product
+    phasors @ (ris_ue_channel(centre) * forward): one product over all
+    cells sums in another order, and an ulp can flip a pick.  `true_best`
+    is -1 for a row not built yet.  The tables are read-only outside `fill`.
+    """
 
     scene: SceneConfig
     ris: RisGeometry
@@ -84,11 +94,34 @@ class TrackingScenario:
     codebook: Codebook
     forward: np.ndarray = field(init=False, repr=False)  # H @ z per RIS element, z uniform
     centers: np.ndarray = field(init=False, repr=False)  # (cells, 3) UE position per cell
+    noise_power: float = field(init=False)  # W, the variance of a noisy measurement's noise
+    signals: np.ndarray = field(init=False, repr=False)    # (cells, codewords) complex
+    rsrp: np.ndarray = field(init=False, repr=False)       # (cells, codewords) |signals|^2
+    true_best: np.ndarray = field(init=False, repr=False)  # (cells,) first maximum of rsrp
 
     def __post_init__(self):
         z = uniform_transmit_signal(self.scene.num_bs_antennas)
         self.forward = bs_ris_channel(self.scene, self.ris) @ z
         self.centers = self.grid.cell_centers()
+        self.noise_power = self.scene.noise_power_watts
+        shape = (len(self.centers), len(self.codebook))
+        self.signals = np.empty(shape, dtype=complex)
+        self.rsrp = np.empty(shape)
+        self.signals.flags.writeable = self.rsrp.flags.writeable = False
+        self.true_best = np.full(shape[0], -1, dtype=np.intp)
+
+    def fill(self, cells) -> None:
+        """Build the table rows of the cells in `cells` that are not built yet."""
+        for cell in cells:
+            if self.true_best[cell] < 0:
+                h = ris_ue_channel(self.scene, self.ris, self.centers[cell])
+                signals = self.codebook.phasors @ (h * self.forward)
+                rsrp = np.abs(signals) ** 2
+                for table, row in ((self.signals, signals), (self.rsrp, rsrp)):
+                    table.flags.writeable = True
+                    table[cell] = row
+                    table.flags.writeable = False
+                self.true_best[cell] = np.argmax(rsrp)
 
 
 @dataclass
@@ -99,18 +132,22 @@ class SlotEnv:
     signals: np.ndarray        # complex received sample per codebook entry
     rsrp_values: np.ndarray    # |signals|^2
     noise_power: float
+    true_best: int | None = None  # first maximum of rsrp_values; computed if not given
+
+    def __post_init__(self):
+        if self.true_best is None:
+            self.true_best = int(np.argmax(self.rsrp_values))
 
 
 def build_slot_env(scenario: TrackingScenario, cell: int) -> SlotEnv:
-    """The slot's environment with the UE at the centre of grid cell `cell`."""
+    """The slot's environment with the UE at the centre of grid cell `cell`:
+    read-only views of the cell's table row, built if this is its first read."""
     if not 0 <= cell < len(scenario.centers):  # a negative index would pick a cell silently
         raise ValueError(f"cell index {cell} out of range")
-    h = ris_ue_channel(scenario.scene, scenario.ris, scenario.centers[cell])
-    cascade = h * scenario.forward
-    signals = scenario.codebook.phasors @ cascade
-    return SlotEnv(grid=scenario.grid, signals=signals,
-                   rsrp_values=np.abs(signals) ** 2,
-                   noise_power=scenario.scene.noise_power_watts)
+    scenario.fill((cell,))
+    return SlotEnv(grid=scenario.grid, signals=scenario.signals[cell],
+                   rsrp_values=scenario.rsrp[cell], noise_power=scenario.noise_power,
+                   true_best=int(scenario.true_best[cell]))
 
 
 def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: float,
@@ -141,14 +178,13 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
         else:
             cells = rng.choice(num_cells, size=budget, replace=False)
         values = measure(env, cells, noise_rng)
-        chosen = int(cells[np.argmax(values)])  # first maximum, in measurement order
+        chosen = int(cells[values.argmax()])  # first maximum, in measurement order
     elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
-    return _slot_result(env.rsrp_values, slot_index, chosen, budget, elapsed)
+    return _slot_result(env.rsrp_values, env.true_best, slot_index, chosen, budget, elapsed)
 
 
-def _slot_result(rsrp: np.ndarray, slot_index: int, chosen: int, used: int,
+def _slot_result(rsrp: np.ndarray, true_best: int, slot_index: int, chosen: int, used: int,
                  elapsed: float) -> SlotResult:
-    true_best = int(np.argmax(rsrp))
     return SlotResult(
         slot_index=slot_index,
         true_best_index=true_best,
@@ -428,7 +464,10 @@ def search_slots(scenario: TrackingScenario, config: ExperimentConfig, method: M
                  etas: tuple[float, ...], slots: list[tuple[int, int]]) -> list[list[SlotResult]]:
     """One result list per eta for `slots`, whole episodes of `draw_slots`
     pairs in order, searched as lanes by `search_lanes`."""
-    rsrp = np.stack([build_slot_env(scenario, cell).rsrp_values for cell, _ in slots])
+    cells = [cell for cell, _ in slots]
+    scenario.fill(cells)
+    rsrp = scenario.rsrp[cells]
+    true_best = scenario.true_best[cells].tolist()
     first = np.array([k for _, k in slots], dtype=np.intp)
     tables = surrogate.kernel_tables(scenario.grid.rows, scenario.grid.cols,
                                      config.gp_length_scale, config.kde_bandwidth)
@@ -440,8 +479,10 @@ def search_slots(scenario: TrackingScenario, config: ExperimentConfig, method: M
     # A chunk's lanes share one time per budget, so their results share one
     # float object: 8 bytes per slot, not 32, in any list that keeps the times.
     times: dict[float, float] = {}
-    return [[_slot_result(row, i % config.total_slots + 1, pick, used, times.setdefault(secs, secs))
-             for i, (row, pick, secs) in enumerate(zip(rsrp, chosen.tolist(), spent.tolist()))]
+    return [[_slot_result(row, best, i % config.total_slots + 1, pick, used,
+                          times.setdefault(secs, secs))
+             for i, (row, best, pick, secs) in enumerate(zip(rsrp, true_best, chosen.tolist(),
+                                                             spent.tolist()))]
             for chosen, used, spent in zip(found.chosen, found.used.tolist(), found.elapsed)]
 
 
@@ -455,7 +496,8 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
     Several etas share one search per slot, so they need
     `shares_search(config, method)`; such an episode is drawn first and
     searched as lanes.  With warm_start the previous slot's chosen entry
-    replaces the random initial measurement.
+    replaces the random initial measurement.  With timing on, the slots of
+    an episode searched slot by slot all report its mean search time.
     """
     if not etas:
         raise ValueError("etas is empty: an episode needs at least one overhead")
@@ -475,4 +517,10 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
         if config.warm_start:
             warm = result.chosen_index
         episode.append(result)
+    if config.collect_timing:
+        # Every slot reports the episode's mean search time, one float object
+        # for all of them, as a chunk's lanes share one in `search_slots`.
+        mean = sum(r.elapsed for r in episode) / len(episode)
+        episode = [SlotResult(r.slot_index, r.true_best_index, r.chosen_index, r.true_best_rsrp,
+                              r.achieved_rsrp, r.measurements_used, mean) for r in episode]
     return [episode]

@@ -307,14 +307,16 @@ def test_benchmark_span_points_resolve():
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-def test_benchmark_runs_the_bo_workload(trace):
-    """One short bo-long run of the benchmark, untraced and traced, exits 0
+@pytest.mark.parametrize("workload", ["bo-long", "sweep-noisy"])
+def test_benchmark_runs_the_workload(workload, trace):
+    """One short run of a benchmark workload, untraced and traced, exits 0
     and reports a correct run.  Its traced run divides the model spans' self
     time by itself plus `track_slot`'s, so a BO route that reaches no span
-    point at all fails here."""
+    point at all, or a slot-by-slot route that stops calling `track_slot`,
+    fails here."""
     root = Path(__file__).parents[1]
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
-                           "bo-long", "--seed", "7", "--seconds", "0.1", "--epochs", "1",
+                           workload, "--seed", "7", "--seconds", "0.1", "--epochs", "1",
                            "--trace", trace],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

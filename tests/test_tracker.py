@@ -377,21 +377,80 @@ def test_scenario_holds_the_forward_product(scenario):
                                   bs_ris_channel(scenario.scene, scenario.ris) @ z)
 
 
-@pytest.mark.parametrize("grid", [
-    GridMap(), GridMap(rows=3, cols=7, cell_size=0.37, origin=Vec3(-1.1, 0.3, 0.0)),
-], ids=["default", "3x7"])
-def test_slot_signals_are_the_cell_centre_channel_bit_for_bit(grid):
+@pytest.mark.parametrize("grid, phase_bits", [
+    (GridMap(), 2), (GridMap(rows=3, cols=7, cell_size=0.37, origin=Vec3(-1.1, 0.3, 0.0)), 2),
+    (GridMap(rows=1, cols=1), 2), (GridMap(), 3),
+], ids=["default", "3x7", "1x1", "3-bit"])
+def test_slot_signals_are_the_cell_centre_channel_bit_for_bit(grid, phase_bits):
     """Each slot's signals are the codebook phasors times the RIS->UE channel
     at the scalar cell centre times the forward product, to the last bit: an
-    ulp can flip a pick."""
-    scenario = scenario_from_config(ExperimentConfig(grid=grid))
+    ulp can flip a pick.  So are the scenario's table rows, their powers and
+    the true-best index of each."""
+    config = ExperimentConfig(grid=grid)
+    config = dataclasses.replace(config, ris=dataclasses.replace(config.ris, phase_bits=phase_bits))
+    scenario = scenario_from_config(config)
     for k in range(grid.num_cells):
         h = ris_ue_channel(scenario.scene, scenario.ris, cell_center(grid, k))
         want = scenario.codebook.phasors @ (h * scenario.forward)
-        assert build_slot_env(scenario, k).signals.tobytes() == want.tobytes(), k
+        env = build_slot_env(scenario, k)
+        assert env.signals.tobytes() == want.tobytes(), k
+        assert env.rsrp_values.tobytes() == (np.abs(want) ** 2).tobytes(), k
+        assert env.true_best == scenario.true_best[k] == np.argmax(np.abs(want) ** 2), k
+    assert scenario.signals.tobytes() == np.stack([build_slot_env(scenario, k).signals
+                                                   for k in range(grid.num_cells)]).tobytes()
     for bad in (-1, grid.num_cells):
         with pytest.raises(ValueError, match="out of range"):
             build_slot_env(scenario, bad)
+
+
+def count_channel_calls(monkeypatch) -> list:
+    """Patch the tracker's ris_ue_channel to record the UE position of each call."""
+    calls = []
+    channel = tracker.ris_ue_channel
+
+    def counted(scene, ris, position):
+        calls.append(tuple(position))
+        return channel(scene, ris, position)
+
+    monkeypatch.setattr(tracker, "ris_ue_channel", counted)
+    return calls
+
+
+class TestSlotTable:
+    def test_scenario_setup_builds_no_row(self, monkeypatch):
+        """Rows are built on first read, so setup costs no channel call."""
+        calls = count_channel_calls(monkeypatch)
+        scenario = scenario_from_config(ExperimentConfig())
+        assert calls == []
+        assert (scenario.true_best == -1).all()
+
+    @pytest.mark.parametrize("method, noisy", [(Method.ERGODIC, True), (Method.RANDOM, False),
+                                               (Method.TPE_EI, True), (Method.GP_EI, False)])
+    def test_each_row_is_built_once(self, monkeypatch, method, noisy):
+        """However many slots read a cell, by either route, its row is built once."""
+        calls = count_channel_calls(monkeypatch)
+        config = ExperimentConfig(grid=GridMap(rows=1, cols=7), measure_with_noise=noisy,
+                                  collect_timing=False, total_slots=20)
+        scenario = scenario_from_config(config)
+        for epoch in range(3):
+            run_episode(scenario, config, method, (0.4,), 2, episode_rng(5, epoch))
+        built = np.flatnonzero(scenario.true_best >= 0)
+        assert len(calls) == len(set(calls)) == len(built) >= 3
+        assert sorted(calls) == sorted(map(tuple, scenario.centers[built]))
+
+    def test_rows_handed_out_are_read_only(self, scenario):
+        env = build_slot_env(scenario, 3)
+        for array in (env.signals, env.rsrp_values, scenario.signals, scenario.rsrp):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert build_slot_env(scenario, 3).rsrp_values[0] == env.rsrp_values[0]
+
+    def test_scenarios_compare_by_identity(self):
+        """Array fields make field-wise equality ambiguous: a scenario equals
+        only itself, and comparing two does not raise."""
+        a, b = (scenario_from_config(ExperimentConfig()) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
 
 class TestRunEpisode:
@@ -434,16 +493,43 @@ class TestRunEpisode:
                            rng=np.random.default_rng(37))
         assert a != b
 
+    @pytest.mark.parametrize("method, setting", [(Method.ERGODIC, None),
+                                                 (Method.RANDOM, "measure_with_noise"),
+                                                 (Method.TPE_EI, "warm_start")])
+    def test_timed_slot_by_slot_episode_shares_its_mean_time(self, scenario, method, setting,
+                                                            monkeypatch):
+        """Every slot of a timed slot-by-slot episode reports one float
+        object: the mean of its slots' search times."""
+        config = ExperimentConfig(collect_timing=True)
+        if setting:
+            config = dataclasses.replace(config, **{setting: True})
+        spent = []
+        search = tracker.track_slot
+
+        def timed(*args, **kwargs):
+            result = search(*args, **kwargs)
+            spent.append(result.elapsed)
+            return result
+
+        monkeypatch.setattr(tracker, "track_slot", timed)
+        (episode,) = run_episode(scenario, config, method, (0.4,), 2, np.random.default_rng(3))
+        assert len(spent) == len(episode) == 12
+        assert len({id(r.elapsed) for r in episode}) == 1
+        assert episode[0].elapsed == sum(spent) / 12 >= 0.0
+
     @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
-    def test_one_call_per_slot_and_per_step(self, scenario, method, monkeypatch):
-        """Per slot one mobility_step, build_slot_env and ris_ue_channel.  A
-        warm-start episode searches slot by slot: one track_slot per slot, and
-        per BO step one fit and one select_next, and on the GP path one
-        gp_posterior and one expected_improvement.  A noise-free, cold-start
-        episode searches its slots as lanes, with no track_slot or fit call:
-        its lane-steps are slots x (largest budget - 1), and GP-EI scores all
-        lanes with one expected_improvement call per step."""
+    def test_one_call_per_slot_and_per_step(self, method, monkeypatch):
+        """Per slot one mobility_step, and one ris_ue_channel per cell the
+        episode visits first: a fresh scenario builds each cell's row once.
+        A warm-start episode searches slot by slot: one build_slot_env and
+        track_slot per slot, and per BO step one fit and one select_next,
+        and on the GP path one gp_posterior and one expected_improvement.  A
+        noise-free, cold-start episode searches its slots as lanes, with no
+        build_slot_env, track_slot or fit call: its lane-steps are slots x
+        (largest budget - 1), and GP-EI scores all lanes with one
+        expected_improvement call per step."""
         counts = {}
+        visited = set()
 
         def count(module, name):
             original = getattr(module, name)
@@ -454,6 +540,14 @@ class TestRunEpisode:
 
             monkeypatch.setattr(module, name, counted)
 
+        step = tracker.mobility_step
+
+        def walked(*args, **kwargs):
+            cell = step(*args, **kwargs)
+            visited.add(cell)
+            return cell
+
+        monkeypatch.setattr(tracker, "mobility_step", walked)
         for name in ("mobility_step", "build_slot_env", "ris_ue_channel", "track_slot"):
             count(tracker, name)
         for name in ("gp_fit", "tpe_fit"):
@@ -470,24 +564,27 @@ class TestRunEpisode:
 
         monkeypatch.setattr(tracker, "search_lanes", counted_search)
         fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
-        per_slot = {"mobility_step": 3, "build_slot_env": 3, "ris_ue_channel": 3}
+
+        def run(config, etas):
+            counts.clear()
+            lane_steps.clear()
+            visited.clear()
+            run_episode(scenario_from_config(config), config, method, etas, speed=1,
+                        rng=np.random.default_rng(41))
+            return {"mobility_step": 3, "ris_ue_channel": len(visited)}
 
         warm = dataclasses.replace(CONFIG, total_slots=3, warm_start=True)
-        counts.clear()
-        run_episode(scenario, warm, method, (0.2,), speed=1, rng=np.random.default_rng(41))
+        want = run(warm, (0.2,))
         steps = 3 * (slot_budget(method, 0.2, 100) - 1)
-        want = {**per_slot, "track_slot": 3, fit: steps, "select_next": steps}
+        want.update({"build_slot_env": 3, "track_slot": 3, fit: steps, "select_next": steps})
         if method == Method.GP_EI:
             want.update(gp_posterior=steps, expected_improvement=steps)
         assert counts == want and lane_steps == []
 
         cold = dataclasses.replace(CONFIG, total_slots=3)
         for etas in ((0.2,), (0.2, 0.4)):
-            counts.clear()
-            lane_steps.clear()
-            run_episode(scenario, cold, method, etas, speed=1, rng=np.random.default_rng(41))
+            want = run(cold, etas)
             budget = slot_budget(method, max(etas), 100)
-            want = dict(per_slot)
             if method == Method.GP_EI:
                 want["expected_improvement"] = budget - 1
             assert counts == want, etas
