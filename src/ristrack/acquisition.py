@@ -36,30 +36,22 @@ def expected_improvement(mean, variance, y_star):
     """E[max(y_star - y, 0)] under y ~ N(mean, variance).
 
     With sigma = sqrt(variance): (y_star - mean)*Phi(u) + sigma*phi(u),
-    u = (y_star - mean)/sigma; the sigma = 0 limit is max(y_star - mean, 0).
-    Accepts scalars or arrays; never returns a negative value.
+    u = (y_star - mean)/sigma; a variance <= 0 (or NaN) scores the sigma = 0
+    limit, max(y_star - mean, 0), and one below -1e-10 raises.  Each entry is
+    scored on its own, whatever else the array holds.  Accepts scalars or
+    arrays; never returns a negative value.
     """
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
+    lowest = np.fmin.reduce(variance, axis=None, initial=0.0)  # skips NaN; 0 when empty
+    if lowest < -1e-10:
+        raise ValueError(f"negative variance: {lowest}")
     improvement = y_star - mean
-    # np.all(variance > 0), as np.minimum propagates NaN: no check or clamp needed
-    if np.minimum.reduce(variance, axis=None, initial=np.inf) > 0:
-        sigma = np.sqrt(variance)
-        u = improvement / sigma
-        ei = improvement * normal_cdf(u) + sigma * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-    else:
-        lowest = np.fmin.reduce(variance, axis=None, initial=0.0)  # skips NaN; 0 when empty
-        if lowest < -1e-10:
-            raise ValueError(f"negative variance: {lowest}")
-        sigma = np.sqrt(np.maximum(variance, 0.0))
-        u = np.where(sigma > 0, improvement / np.where(sigma > 0, sigma, 1.0), 0.0)
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * u * u)
-        ei = np.where(
-            sigma > 0,
-            improvement * normal_cdf(u) + sigma * phi,
-            np.maximum(improvement, 0.0),
-        )
-    ei = np.maximum(ei, 0.0)
+    positive = variance > 0  # False on NaN
+    sigma = np.sqrt(np.where(positive, variance, 1.0))
+    u = improvement / sigma
+    ei = improvement * normal_cdf(u) + sigma * _INV_SQRT_2PI * np.exp(-0.5 * u * u)
+    ei = np.maximum(np.where(positive, ei, improvement), 0.0)
     return float(ei) if ei.ndim == 0 else ei
 
 

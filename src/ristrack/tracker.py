@@ -155,8 +155,10 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
                warm_index: int | None = None) -> SlotResult:
     """Run one slot of beam search and report chosen vs. true-best power.
 
-    `warm_index`, if given, is a BO search's first measurement; the sweep and
-    random search have none.
+    A BO slot is one lane of `search_lanes`, measured through `measure`, so
+    a noisy slot draws its noise from `rng` in measurement order.  Its first
+    cell is `warm_index` if given, else a draw from `rng`; the sweep and
+    random search have no first cell.
     """
     num_cells = env.rsrp_values.shape[0]
     budget = slot_budget(method, eta, num_cells)
@@ -170,8 +172,10 @@ def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: floa
             acquisition.normal_cdf(0.0)
     t0 = time.perf_counter() if config.collect_timing else 0.0
     if method in BO_METHODS:
-        chosen = _bo_loop(env, method, config.tpe_gamma, rng, budget, warm_index, noise_rng,
-                          tables)[1]
+        first = warm_index if warm_index is not None else int(rng.integers(num_cells))
+        found = search_lanes(env.rsrp_values[None], np.array([first]), method, (budget,), tables,
+                             config.tpe_gamma, observe=lambda k: measure(env, k, noise_rng))
+        chosen = int(found.chosen[0, 0])
     else:
         if method == Method.ERGODIC:
             cells = np.arange(num_cells)
@@ -216,39 +220,6 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
     return np.abs(noise) ** 2
 
 
-def _bo_loop(env: SlotEnv, method: Method, gamma: float, rng: np.random.Generator,
-             budget: int, warm_index: int | None, noise_rng: np.random.Generator | None,
-             tables: surrogate.KernelTables) -> tuple[np.ndarray, int]:
-    """Algorithm: one initial codebook entry, then fit -> select -> measure.
-
-    Returns the `budget` measured cells in measurement order and the pick: the
-    first maximum of the measured powers.  The surrogate is fit on negated dB
-    power so that the whole surrogate/acquisition stack minimizes.  The GP
-    factor is extended by the new cell at each step instead of refit.  This is
-    the route of noisy and warm-start slots, whose next slot depends on this
-    slot's noise and pick; `search_lanes` runs every other BO slot.
-    """
-    history = surrogate.ObservationHistory(tables.num_cells)
-    values: list[float] = []  # linear power; the history holds the objective
-
-    def record(k: int) -> None:
-        value = measure(env, k, noise_rng)
-        values.append(value)
-        history.add(k, -10.0 * math.log10(max(value, 1e-300)))  # -lin_to_db(value), on a scalar
-
-    record(warm_index if warm_index is not None else int(rng.integers(env.rsrp_values.shape[0])))
-    gp = None
-    for _ in range(1, budget):
-        if method == Method.GP_EI:
-            model = gp = surrogate.gp_fit(history, tables, gp)
-        else:
-            model = surrogate.tpe_fit(history, tables, gamma=gamma)
-        # perfbench/spans.py reads the history from this keyword
-        record(acquisition.select_next(model, history=history))
-    cells = history.cells()
-    return cells, int(cells[np.argmax(values)])  # first maximum, in measurement order
-
-
 LANE_CAP = 24  # lanes per lockstep chunk: bounds the (lanes, budget, cells) GP factor
 
 
@@ -265,17 +236,21 @@ class LaneSearch:
 
 def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
                  budgets: tuple[int, ...], tables: surrogate.KernelTables, gamma: float,
-                 clock=_no_clock) -> LaneSearch:
-    """Noise-free, cold-start BO searches of many slots, in lockstep.
+                 clock=_no_clock, observe=None) -> LaneSearch:
+    """BO searches of many slots, in lockstep: per step, one fit, pick and
+    measurement in every lane.
 
     Lane l searches the slot whose exact powers are `rsrp[l]`, starting from
-    cell `first[l]`, and measures exactly the cells `_bo_loop` would: every
-    fit and score is the per-slot arithmetic stacked along a leading lane
-    axis, with the same BLAS calls and summation orders, so no pick moves.
-    The search runs to the largest budget, and budget b reads the first b
-    measurements: its pick is their first maximum.  Lanes run in chunks of
-    LANE_CAP; a lane's time to a pick is its chunk's time, divided by the
-    chunk's lanes.  `clock` times the chunks (by default every time is 0).
+    cell `first[l]`.  Every fit and score is the arithmetic of `gp_fit` or
+    `tpe_fit` and `select_next` on the lane's own history (negated dB power,
+    minimized), stacked along a leading lane axis with the same BLAS calls
+    and summation orders, so no pick moves.  The search runs to the largest
+    budget, and budget b reads the first b measurements: its pick is their
+    first maximum.  Lanes run in chunks of LANE_CAP; a lane's time to a pick
+    is its chunk's time, divided by the chunk's lanes.  `clock` times the
+    chunks (by default every time is 0).  `observe`, if given, maps a
+    one-lane search's new cells to their measured powers in place of `rsrp`,
+    so a noisy slot draws its noise in measurement order.
     """
     if method not in BO_METHODS:
         raise ValueError(f"{method.value} search is not a BO search and has no lanes")
@@ -296,15 +271,17 @@ def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
     for lo in range(0, lanes, LANE_CAP):
         part = slice(lo, lo + LANE_CAP)
         steps += _search_chunk(rsrp[part], first[part], method, checkpoints, tables, gamma,
-                               clock, chosen[:, part], used, elapsed[:, part], cells[part])
+                               clock, observe, chosen[:, part], used, elapsed[:, part],
+                               cells[part])
     rows = [checkpoints.index(b) for b in budgets]
     return LaneSearch(chosen=chosen[rows], used=used[rows], elapsed=elapsed[rows], cells=cells,
                       steps=steps)
 
 
 def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoints: list[int],
-                  tables: surrogate.KernelTables, gamma: float, clock, chosen: np.ndarray,
-                  used: np.ndarray, elapsed: np.ndarray, cells: np.ndarray) -> int:
+                  tables: surrogate.KernelTables, gamma: float, clock, observe,
+                  chosen: np.ndarray, used: np.ndarray, elapsed: np.ndarray,
+                  cells: np.ndarray) -> int:
     """One chunk of `search_lanes`: fills its lanes' part of chosen, used,
     elapsed and cells; returns its lane-steps."""
     lanes, num_cells = rsrp.shape
@@ -319,7 +296,7 @@ def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoin
     def record(n: int, new: np.ndarray) -> None:
         cells[:, n] = new
         seen[lane, new] = True
-        values[:, n] = rsrp[lane, new]
+        values[:, n] = rsrp[lane, new] if observe is None else observe(new)
         y[:, n] = [-10.0 * math.log10(max(v, 1e-300)) for v in values[:, n].tolist()]
         np.minimum(best, y[:, n], out=best)  # propagates NaN as ObservationHistory.best does
 
@@ -387,21 +364,10 @@ class _GpLanes:
         remaining = np.flatnonzero(~seen).reshape(lanes, -1)  # flat (lane, cell) indices
         mean = self.mean.take(remaining)
         var = theta1 * (1.0 - self.w_sq.take(remaining))
-        # expected_improvement picks its formula on the whole array, so a lane
-        # with a variance <= 0 (or NaN) is scored with the clamped lanes only.
-        if np.minimum.reduce(var, axis=None) > 0.0:  # False on NaN
-            scores = acquisition.expected_improvement(mean, var, best[:, None])
-        else:
-            ok = np.minimum.reduce(var, axis=1) > 0.0
-            scores = np.empty_like(var)
-            if ok.any():
-                scores[ok] = acquisition.expected_improvement(mean[ok], var[ok], best[ok, None])
-            bad = ~ok
-            lowest = np.fmin.reduce(var[bad], axis=None, initial=0.0)  # skips NaN
-            if lowest < -1e-10:
-                raise surrogate.GpConditioningError(f"negative posterior variance: {lowest}")
-            scores[bad] = acquisition.expected_improvement(
-                mean[bad], np.maximum(var[bad], 0.0), best[bad, None])
+        lowest = np.fmin.reduce(var, axis=None, initial=0.0)  # gp_posterior's check; skips NaN
+        if lowest < -1e-10:
+            raise surrogate.GpConditioningError(f"negative posterior variance: {lowest}")
+        scores = acquisition.expected_improvement(mean, var, best[:, None])
         return remaining[self.lane, scores.argmax(axis=1)] - self.lane * seen.shape[1]
 
 
@@ -439,7 +405,9 @@ def shares_search(config: ExperimentConfig, method: Method) -> bool:
     once, for its first cell, and each later step depends on the history
     alone; so every budget measures the same cells in the same order and
     leaves the stream in the same state for the next slot.  Such slots are
-    independent of one another once drawn, and `search_slots` runs them as lanes.
+    independent of one another once drawn, and `search_slots` runs them as
+    many lanes of one search.  Any other BO slot depends on the slot before
+    it (its noise draws or its pick), so `track_slot` runs it as a lane of one.
     """
     return method in BO_METHODS and not (config.measure_with_noise or config.warm_start)
 

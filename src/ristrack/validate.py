@@ -17,6 +17,7 @@ import numpy as np
 from .acquisition import expected_improvement
 from .codebook import quantize_codeword
 from .surrogate import DEFAULT_LENGTH_SCALE, ObservationHistory, gp_fit, gp_posterior, kernel_tables
+from .tracker import _GpLanes
 
 
 def dense_gp_posterior(model, history: ObservationHistory,
@@ -78,7 +79,9 @@ def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
 
 def check_gp_dense_solve(num_instances: int = 20, seed: int = 11,
                          tol: float = 1e-8) -> bool:
-    """Incremental-factor posterior must match a dense np.linalg.solve oracle."""
+    """Incremental-factor posterior must match a dense np.linalg.solve oracle,
+    both `GpModel`'s and that of a one-lane `_GpLanes`, the factor the
+    production search runs on."""
     rng = np.random.default_rng(seed)
     tables = kernel_tables(10, 10, DEFAULT_LENGTH_SCALE)
     for _ in range(num_instances):
@@ -88,10 +91,14 @@ def check_gp_dense_solve(num_instances: int = 20, seed: int = 11,
         for i in idx:
             history.add(int(i), float(rng.normal(50.0, 10.0)))
         model = gp_fit(history, tables)
-        mean, var = gp_posterior(model)
+        lane = _GpLanes(1, n, tables)
+        for i in range(n):
+            lane.append(i, history.cells()[i:i + 1], history.values()[i:i + 1])
         mean_ref, var_ref = dense_gp_posterior(model, history, DEFAULT_LENGTH_SCALE)
-        if np.max(np.abs(mean - mean_ref)) > tol or np.max(np.abs(var - var_ref)) > tol:
-            return False
+        for mean, var in (gp_posterior(model),
+                          (lane.mean[0], model.theta1 * (1.0 - lane.w_sq[0]))):
+            if np.max(np.abs(mean - mean_ref)) > tol or np.max(np.abs(var - var_ref)) > tol:
+                return False
     return True
 
 

@@ -1,9 +1,11 @@
 """Reference routes only the tests compare the production code against.
 
 Each computes one quantity directly from its definition, with no caching,
-tables or batching; `replay_episode` and `replay_cell` run the per-slot search
-(`tracker.track_slot`) that the lockstep lanes stack.  The oracles `ristrack
-validate` runs live in `ristrack.validate`.
+tables or batching; `reference_track_slot` runs one slot's search on the
+public surrogate and acquisition API, and `replay_episode` and `replay_cell`
+run it slot by slot: the per-slot search that the lockstep lanes of
+`tracker.search_lanes` stack.  The oracles `ristrack validate` runs live in
+`ristrack.validate`.
 """
 
 import copy
@@ -11,9 +13,9 @@ import copy
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ristrack import tracker
+from ristrack import acquisition, surrogate, tracker
 from ristrack.bench import episode_rng
-from ristrack.channel import Vec3
+from ristrack.channel import Vec3, lin_to_db
 from ristrack.codebook import GridMap
 
 
@@ -63,13 +65,78 @@ def parzen_density(points: np.ndarray, at: np.ndarray, bandwidth: float) -> np.n
     return raw / float(np.sum(raw))
 
 
+def reference_make_measure(env, config, rng):
+    """The per-call measurement closure the block measurement replaced: two
+    scalar noise draws per call, real part first."""
+    if not config.measure_with_noise:
+        return lambda k: float(env.rsrp_values[k])
+    sigma = float(np.sqrt(env.noise_power / 2.0))
+
+    def measure(k):
+        noise = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
+        return float(np.abs(env.signals[k] + noise) ** 2)
+
+    return measure
+
+
+def reference_bo_search(env, config, method, budget, rng, warm_index=None):
+    """One BO slot on the public API: a first cell (`warm_index`, else a draw
+    from `rng`), then per step one `gp_fit` or `tpe_fit` and one
+    `select_next`, with one measurement call per cell.  Returns the
+    (cell, power) pairs in measurement order."""
+    num_cells = env.rsrp_values.shape[0]
+    tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols, config.gp_length_scale,
+                                     config.kde_bandwidth)
+    measure = reference_make_measure(env, config, rng)
+    history = surrogate.ObservationHistory(num_cells)
+    measured = []
+
+    def record(k):
+        value = measure(k)
+        measured.append((k, value))
+        history.add(k, -lin_to_db(value))
+
+    record(warm_index if warm_index is not None else int(rng.integers(num_cells)))
+    gp = None
+    for _ in range(budget - 1):
+        if method == tracker.Method.GP_EI:
+            model = gp = surrogate.gp_fit(history, tables, gp)
+        else:
+            model = surrogate.tpe_fit(history, tables, gamma=config.tpe_gamma)
+        record(acquisition.select_next(model, history=history))
+    return measured
+
+
+def reference_track_slot(env, config, method, eta, rng, slot_index=1, warm_index=None):
+    """`tracker.track_slot` as it was before the lanes: the sweep and random
+    search measure one cell per call, a BO slot runs `reference_bo_search`,
+    and `max` keeps the first maximum."""
+    num_cells = env.rsrp_values.shape[0]
+    budget = tracker.slot_budget(method, eta, num_cells)
+    true_best = int(np.argmax(env.rsrp_values))
+    if method in tracker.BO_METHODS:
+        measured = reference_bo_search(env, config, method, budget, rng, warm_index)
+    else:
+        measure = reference_make_measure(env, config, rng)
+        cells = (range(num_cells) if method == tracker.Method.ERGODIC
+                 else rng.choice(num_cells, size=budget, replace=False))
+        measured = [(int(k), measure(int(k))) for k in cells]
+    chosen = max(measured, key=lambda kv: kv[1])[0]
+    return tracker.SlotResult(
+        slot_index=slot_index, true_best_index=true_best, chosen_index=chosen,
+        true_best_rsrp=float(env.rsrp_values[true_best]),
+        achieved_rsrp=float(env.rsrp_values[chosen]),
+        measurements_used=len(measured), elapsed=0.0)
+
+
 def replay_episode(scenario, config, method, etas, speed, rng):
     """Per-slot reference for a noise-free, cold-start BO episode: one result
     list per eta.
 
-    Each slot makes `run_episode`'s draws in its order, then runs `track_slot`
-    once per eta, each from a copy of the stream; the stream goes on from the
-    copies' common state, as one search per slot leaves it.
+    Each slot makes `run_episode`'s draws in its order, then runs
+    `reference_track_slot` once per eta, each from a copy of the stream; the
+    stream goes on from the copies' common state, as one search per slot
+    leaves it.
     """
     grid = scenario.grid
     cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
@@ -79,7 +146,7 @@ def replay_episode(scenario, config, method, etas, speed, rng):
         env = tracker.build_slot_env(scenario, cell)
         streams = [copy.deepcopy(rng) for _ in etas]
         for episode, eta, stream in zip(episodes, etas, streams):
-            episode.append(tracker.track_slot(env, config, method, eta, stream, slot_index=t))
+            episode.append(reference_track_slot(env, config, method, eta, stream, slot_index=t))
         states = [stream.bit_generator.state for stream in streams]
         assert all(state == states[0] for state in states)
         rng.bit_generator.state = states[0]

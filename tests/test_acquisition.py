@@ -104,6 +104,20 @@ class TestExpectedImprovementEdgeInputs:
             np.testing.assert_array_equal(
                 expected_improvement(np.array(mean), np.array(var), 2.0), want)
 
+    def test_each_entry_scores_as_it_would_alone(self):
+        """An entry's EI does not depend on the rest of the array: positive,
+        zero, slightly negative (inside the clamp tolerance) and NaN
+        variances mixed in one call score as one-element calls, to the bit."""
+        rng = np.random.default_rng(59)
+        mean = rng.uniform(-5.0, 5.0, size=999)
+        var = rng.uniform(0.01, 9.0, size=999)
+        odd = rng.permutation(999)[:60].reshape(3, 20)
+        var[odd[0]], var[odd[1]], var[odd[2]] = 0.0, -5e-11, np.nan
+        whole = expected_improvement(mean, var, 0.3)
+        alone = [expected_improvement(mean[i:i + 1], var[i:i + 1], 0.3)[0] for i in range(999)]
+        np.testing.assert_array_equal(whole, alone)
+        assert whole.tobytes() == np.array(alone).tobytes()
+
     def test_variance_below_tolerance_raises(self):
         for mean, var in ((1.0, -1e-9), (np.array([1.0, 1.0]), np.array([-1e-9, 4.0])),
                           (np.array([1.0, 1.0]), np.array([np.nan, -1e-9]))):

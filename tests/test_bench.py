@@ -254,10 +254,10 @@ class TestSharedSearch:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_fit_count(self, noisy, monkeypatch):
-        """(largest budget - 1) search steps per BO (method, speed, epoch,
-        slot) when the overheads share a search: lane-steps, counted by the
-        lane engine, and no surrogate fit; Σ(budget - 1) surrogate fits over
-        every overhead when each searches on its own."""
+        """(largest budget - 1) lane-steps per BO (method, speed, epoch,
+        slot) when the overheads share a search, and Σ(budget - 1) over
+        every overhead when each searches on its own, as a lane of one:
+        counted by the lane engine, with no surrogate fit either way."""
         fits = []
         lane_steps = {}
 
@@ -279,13 +279,9 @@ class TestSharedSearch:
         config = small_config(**{**BO_MATRIX, "measure_with_noise": noisy})
         run_matrix(config)
         slots = len(config.speeds) * config.epochs * config.total_slots  # per method
-        if noisy:
-            steps = (20 - 1) + (40 - 1) + (60 - 1)
-            assert fits.count("gp_fit") == fits.count("tpe_fit") == slots * steps
-            assert lane_steps == {}
-        else:
-            assert lane_steps == {"gp_ei": slots * (60 - 1), "tpe_ei": slots * (60 - 1)}
-            assert fits == []
+        steps = (20 - 1) + (40 - 1) + (60 - 1) if noisy else 60 - 1
+        assert lane_steps == {"gp_ei": slots * steps, "tpe_ei": slots * steps}
+        assert fits == []
 
 
 def test_benchmark_span_points_resolve():
@@ -307,13 +303,14 @@ def test_benchmark_span_points_resolve():
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])
-@pytest.mark.parametrize("workload", ["bo-long", "sweep-noisy"])
+@pytest.mark.parametrize("workload", ["paper-matrix", "bo-long", "sweep-noisy"])
 def test_benchmark_runs_the_workload(workload, trace):
     """One short run of a benchmark workload, untraced and traced, exits 0
     and reports a correct run.  Its traced run divides the model spans' self
     time by itself plus `track_slot`'s, so a BO route that reaches no span
     point at all, or a slot-by-slot route that stops calling `track_slot`,
-    fails here."""
+    fails here.  paper-matrix is the one workload that runs lanes and
+    slot-by-slot slots (ergodic and random) in one pass."""
     root = Path(__file__).parents[1]
     proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload",
                            workload, "--seed", "7", "--seconds", "0.1", "--epochs", "1",

@@ -3,8 +3,9 @@
 `reference_bo_loop` is the earlier surrogate/acquisition code, kept here as a
 slow reference: float (row, col) points, a `cdist` kernel at every step, a
 full Cholesky factorization per GP fit, and a broadcast compare to drop
-measured points.  On seeded episodes the production core must measure the
-identical cell sequence.
+measured points.  On seeded episodes the production core, the lanes of
+`tracker.search_lanes`, must measure the identical cell sequence, whether a
+slot runs as one of many lanes or, noisy or warm-started, as a lane of one.
 """
 
 import copy
@@ -79,26 +80,34 @@ def reference_bo_loop(env, config, method, rng, budget, warm_index, measure):
 
 @pytest.fixture
 def compared_slots(monkeypatch):
-    """Run every BO slot through both loops; collect (new, reference) sequences.
+    """Run every BO slot through the lanes and the reference loop; collect
+    (new, reference) sequences.
 
-    A slot searched on its own runs `_bo_loop`; a noise-free, cold-start slot
-    runs as a lane of `search_lanes`, whose reference starts at the lane's
-    first cell."""
+    A slot searched on its own runs as a lane of one inside `track_slot`,
+    and its reference replays the slot's stream (first-cell draw and noise)
+    from a copy taken when the slot starts.  A noise-free, cold-start slot
+    runs as one of many lanes, and its reference starts at the lane's first
+    cell."""
     pairs = []
-    production, lanes = tracker._bo_loop, tracker.search_lanes
+    slot, lanes = tracker.track_slot, tracker.search_lanes
+    replayed = []  # the reference of the slot `track_slot` is searching
 
-    def both(env, method, gamma, rng, budget, warm_index, noise_rng, tables):
+    def both(env, config, method, eta, rng, slot_index=1, warm_index=None):
         ref_rng = copy.deepcopy(rng)
-        ref_noise = ref_rng if noise_rng is not None else None
-        ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
-                                ref_rng, budget, warm_index,
+        ref_noise = ref_rng if config.measure_with_noise else None
+        ref = reference_bo_loop(env, config, method, ref_rng,
+                                slot_budget(method, eta, env.rsrp_values.shape[0]), warm_index,
                                 lambda k: tracker.measure(env, k, ref_noise))
-        got = production(env, method, gamma, rng, budget, warm_index, noise_rng, tables)
-        pairs.append((got[0].tolist(), [k for k, _ in ref]))
+        replayed.append([k for k, _ in ref])
+        got = slot(env, config, method, eta, rng, slot_index, warm_index)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         return got
 
     def each_lane(rsrp, first, method, budgets, tables, gamma, *args, **kwargs):
         got = lanes(rsrp, first, method, budgets, tables, gamma, *args, **kwargs)
+        if replayed:  # a lane of one inside track_slot
+            pairs.append((got.cells[0].tolist(), replayed.pop()))
+            return got
         rows, cols = (int(x) + 1 for x in tables.coords[-1])
         grid = GridMap(rows=rows, cols=cols)
         for row, start, cells in zip(rsrp, first, got.cells):
@@ -108,7 +117,7 @@ def compared_slots(monkeypatch):
             pairs.append((cells.tolist(), [k for k, _ in ref]))
         return got
 
-    monkeypatch.setattr(tracker, "_bo_loop", both)
+    monkeypatch.setattr(tracker, "track_slot", both)
     monkeypatch.setattr(tracker, "search_lanes", each_lane)
     return pairs
 

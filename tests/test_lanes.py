@@ -1,9 +1,11 @@
 """The lockstep lane engine against the per-slot search it stacks.
 
-`tracker.search_lanes` runs every noise-free, cold-start BO slot of a
-(method, speed) as one batch.  Its reference is `oracles.replay_cell`: each
-slot replays the draws and runs `track_slot` once per overhead.  Every
-`SlotResult` field but `elapsed` must be equal.
+`tracker.search_lanes` runs every BO search: every noise-free, cold-start
+slot of a (method, speed) as one batch, and any other BO slot as a lane of
+one inside `track_slot`.  Its reference is `oracles.replay_cell`: each slot
+replays the draws and runs `oracles.reference_track_slot`, one `gp_fit` or
+`tpe_fit` and one `select_next` per step on the public API, once per
+overhead.  Every `SlotResult` field but `elapsed` must be equal.
 """
 
 import dataclasses
@@ -11,14 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ristrack import tracker
+from ristrack import surrogate, tracker
 from ristrack.bench import run_cell, scenario_from_config
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import GpConditioningError, KernelTables, kernel_tables
 from ristrack.tracker import Method, SlotEnv, search_lanes, slot_budget, track_slot
 
-from oracles import replay_cell
+from oracles import reference_bo_search, reference_track_slot, replay_cell
 
 BO = [Method.GP_EI, Method.TPE_EI]
 
@@ -94,7 +96,7 @@ def mirror_env() -> SlotEnv:
 @pytest.mark.parametrize("method", BO)
 def test_mirror_ties_break_as_in_the_per_slot_search(method):
     """Lanes starting at each fixture cell pick the lower index of every
-    mirror tie, as track_slot does from the same first cell."""
+    mirror tie, as the per-slot reference does from the same first cell."""
     env = mirror_env()
     first = [44, 55, 0, 99]
     etas = (0.2, 0.6)
@@ -104,7 +106,8 @@ def test_mirror_ties_break_as_in_the_per_slot_search(method):
     cfg = config()
     for lane, start in enumerate(first):
         for j, eta in enumerate(etas):
-            alone = track_slot(env, cfg, method, eta, np.random.default_rng(0), warm_index=start)
+            alone = reference_track_slot(env, cfg, method, eta, np.random.default_rng(0),
+                                         warm_index=start)
             assert found.chosen[j, lane] == alone.chosen_index, (start, eta)
     assert found.steps == len(first) * (max(budgets) - 1)
 
@@ -118,26 +121,29 @@ def indefinite_tables() -> KernelTables:
     return KernelTables(coords=tables.coords, corr=corr, parzen=tables.parzen)
 
 
-def test_indefinite_kernel_raises_on_both_routes():
-    """A non-positive pivot raises GpConditioningError in the lanes and in
-    the per-slot loop alike, instead of a NaN factor and NaN picks."""
+def test_indefinite_kernel_raises_on_both_routes(monkeypatch):
+    """A non-positive pivot raises GpConditioningError in the lanes (many,
+    or a slot's lane of one) and in the per-slot reference alike, instead
+    of a NaN factor and NaN picks."""
     power = np.arange(1.0, 10.0)
     env = SlotEnv(grid=GridMap(rows=3, cols=3), signals=np.sqrt(power) + 0j,
                   rsrp_values=power, noise_power=0.0)
     tables = indefinite_tables()
     with pytest.raises(GpConditioningError, match="not positive definite"):
         search_lanes(np.stack([power, power[::-1]]), [0, 4], Method.GP_EI, (5,), tables, 0.25)
-    with pytest.raises(GpConditioningError, match="not positive definite"):
-        tracker._bo_loop(env, Method.GP_EI, 0.25, np.random.default_rng(0), 5, None, None,
-                         tables)
+    monkeypatch.setattr(surrogate, "kernel_tables", lambda *args: tables)
+    for route in (track_slot, reference_track_slot):
+        with pytest.raises(GpConditioningError, match="not positive definite"):
+            route(env, config(), Method.GP_EI, 5 / 9, np.random.default_rng(0))
 
 
-def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop():
-    """expected_improvement picks its formula on the whole array, so a lane
-    with a variance <= 0 is scored apart from the others.  Cells 0 and 1
-    correlate by 2 here: after a first measurement at 0 or 1 the other one's
-    variance is negative (clamped to 0), while lanes starting elsewhere keep
-    every variance positive.  Each lane picks as `_bo_loop` does."""
+def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop(monkeypatch):
+    """A variance <= 0 scores expected improvement's sigma = 0 limit, each
+    entry on its own, so a lane with one scores as it would alone.  Cells 0
+    and 1 correlate by 2 here: after a first measurement at 0 or 1 the other
+    one's variance is negative (clamped to 0 by gp_posterior), while lanes
+    starting elsewhere keep every variance positive.  Each lane, and each
+    slot's lane of one, picks as the per-slot reference does."""
     tables = kernel_tables(3, 3)
     corr = tables.corr.copy()
     corr[0, 1] = corr[1, 0] = 2.0
@@ -147,9 +153,14 @@ def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop():
                   rsrp_values=power, noise_power=0.0)
     first = [0, 5, 1, 8]
     found = search_lanes(np.stack([power] * len(first)), first, Method.GP_EI, (2,), tables, 0.25)
+    monkeypatch.setattr(surrogate, "kernel_tables", lambda *args: tables)
+    cfg = config()
     for lane, start in enumerate(first):
-        cells, chosen = tracker._bo_loop(env, Method.GP_EI, 0.25, None, 2, start, None, tables)
-        assert found.cells[lane].tolist() == cells.tolist() and found.chosen[0, lane] == chosen
+        ref = reference_bo_search(env, cfg, Method.GP_EI, 2, np.random.default_rng(0), start)
+        alone = track_slot(env, cfg, Method.GP_EI, 2 / 9, np.random.default_rng(0),
+                           warm_index=start)
+        assert found.cells[lane].tolist() == [k for k, _ in ref]
+        assert found.chosen[0, lane] == alone.chosen_index == max(ref, key=lambda kv: kv[1])[0]
 
 
 def test_lane_inputs_are_checked():

@@ -18,7 +18,6 @@ from ristrack.channel import (
     Vec3,
     bs_ris_channel,
     dbm_to_watts,
-    lin_to_db,
     ris_ue_channel,
     uniform_transmit_signal,
 )
@@ -35,7 +34,7 @@ from ristrack.tracker import (
     track_slot,
 )
 
-from oracles import cell_center, rsrp
+from oracles import cell_center, reference_track_slot, rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -297,63 +296,12 @@ class TestTieBreak:
             assert r.chosen_index == first
 
 
-def reference_make_measure(env, config, rng):
-    """The per-call measurement closure the block measurement replaced."""
-    if not config.measure_with_noise:
-        return lambda k: float(env.rsrp_values[k])
-    sigma = float(np.sqrt(env.noise_power / 2.0))
-
-    def measure(k):
-        noise = rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma)
-        return float(np.abs(env.signals[k] + noise) ** 2)
-
-    return measure
-
-
-def reference_track_slot(env, config, method, eta, rng, slot_index=1, warm_index=None):
-    """`track_slot` as it was with one measurement call per cell, each with two
-    scalar noise draws, and the first maximum kept by `max`."""
-    num_cells = env.rsrp_values.shape[0]
-    budget = slot_budget(method, eta, num_cells)
-    true_best = int(np.argmax(env.rsrp_values))
-    measure = reference_make_measure(env, config, rng)
-    if method == Method.ERGODIC:
-        measured = [(k, measure(k)) for k in range(num_cells)]
-    elif method == Method.RANDOM:
-        measured = [(int(k), measure(int(k)))
-                    for k in rng.choice(num_cells, size=budget, replace=False)]
-    else:
-        tables = tracker.surrogate.kernel_tables(env.grid.rows, env.grid.cols,
-                                                 config.gp_length_scale, config.kde_bandwidth)
-        history = tracker.surrogate.ObservationHistory(num_cells)
-        measured = []
-
-        def record(k):
-            value = measure(k)
-            measured.append((k, value))
-            history.add(k, -lin_to_db(value))
-
-        record(warm_index if warm_index is not None else int(rng.integers(num_cells)))
-        gp = None
-        for _ in range(budget - 1):
-            if method == Method.GP_EI:
-                model = gp = tracker.surrogate.gp_fit(history, tables, gp)
-            else:
-                model = tracker.surrogate.tpe_fit(history, tables, gamma=config.tpe_gamma)
-            record(tracker.acquisition.select_next(model, history=history))
-    chosen = max(measured, key=lambda kv: kv[1])[0]
-    return tracker.SlotResult(
-        slot_index=slot_index, true_best_index=true_best, chosen_index=chosen,
-        true_best_rsrp=float(env.rsrp_values[true_best]),
-        achieved_rsrp=float(env.rsrp_values[chosen]),
-        measurements_used=len(measured), elapsed=0.0)
-
-
 @pytest.mark.parametrize("noise_dbm", [-120.0, -50.0])
 @pytest.mark.parametrize("rows, cols", [(10, 10), (1, 7), (1, 1)])
 def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, monkeypatch):
     """Seeded noisy episodes of every method give the same slot results
-    through the block measurement as through the per-call loop."""
+    through the block measurement, and a BO slot through a lane of one, as
+    through the per-call loop on the public API."""
     config = ExperimentConfig(grid=GridMap(rows=rows, cols=cols),
                               scene=SceneConfig(noise_power_dbm=noise_dbm),
                               measure_with_noise=True, collect_timing=False)
@@ -522,12 +470,13 @@ class TestRunEpisode:
         """Per slot one mobility_step, and one ris_ue_channel per cell the
         episode visits first: a fresh scenario builds each cell's row once.
         A warm-start episode searches slot by slot: one build_slot_env and
-        track_slot per slot, and per BO step one fit and one select_next,
-        and on the GP path one gp_posterior and one expected_improvement.  A
-        noise-free, cold-start episode searches its slots as lanes, with no
-        build_slot_env, track_slot or fit call: its lane-steps are slots x
+        track_slot per slot, each a search of one lane with budget - 1
+        lane-steps, and on the GP path one expected_improvement per step.
+        A noise-free, cold-start episode searches its slots as lanes, with no
+        build_slot_env or track_slot call: its lane-steps are slots x
         (largest budget - 1), and GP-EI scores all lanes with one
-        expected_improvement call per step."""
+        expected_improvement call per step.  Neither makes a surrogate fit or
+        a select_next call."""
         counts = {}
         visited = set()
 
@@ -563,7 +512,6 @@ class TestRunEpisode:
             return found
 
         monkeypatch.setattr(tracker, "search_lanes", counted_search)
-        fit = "gp_fit" if method == Method.GP_EI else "tpe_fit"
 
         def run(config, etas):
             counts.clear()
@@ -575,11 +523,11 @@ class TestRunEpisode:
 
         warm = dataclasses.replace(CONFIG, total_slots=3, warm_start=True)
         want = run(warm, (0.2,))
-        steps = 3 * (slot_budget(method, 0.2, 100) - 1)
-        want.update({"build_slot_env": 3, "track_slot": 3, fit: steps, "select_next": steps})
+        steps = slot_budget(method, 0.2, 100) - 1
+        want.update(build_slot_env=3, track_slot=3)
         if method == Method.GP_EI:
-            want.update(gp_posterior=steps, expected_improvement=steps)
-        assert counts == want and lane_steps == []
+            want["expected_improvement"] = 3 * steps
+        assert counts == want and lane_steps == [steps] * 3
 
         cold = dataclasses.replace(CONFIG, total_slots=3)
         for etas in ((0.2,), (0.2, 0.4)):
@@ -605,7 +553,7 @@ class TestSharedBudgets:
                              CONFIG.tpe_gamma, tracker.time.perf_counter)
         assert found.used.tolist() == [60, 1, 20, 1]
         for eta, chosen, used in zip(etas, found.chosen[:, 0], found.used):
-            alone = track_slot(slot_env, CONFIG, method, eta, np.random.default_rng(43))
+            alone = reference_track_slot(slot_env, CONFIG, method, eta, np.random.default_rng(43))
             assert (chosen, used) == (alone.chosen_index, alone.measurements_used)
         elapsed = dict(zip(budgets, found.elapsed[:, 0]))
         assert 0.0 <= elapsed[1] <= elapsed[20] <= elapsed[60]
