@@ -74,24 +74,33 @@ def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
 
 
 def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-             etas: tuple[float, ...], speed: int) -> list[list[SlotResult]]:
-    """All slot results for one table cell per eta in `etas`: `epochs`
-    independent episodes each (see `tracker.run_episode`).
+             etas: tuple[float, ...], speeds: tuple[int, ...]) -> list[list[list[SlotResult]]]:
+    """All slot results for one table cell per eta in `etas` and speed in
+    `speeds`, `[eta][speed]`: `epochs` independent episodes each (see
+    `tracker.run_episode`).
 
     A method that shares its search (`tracker.shares_search`) first draws
-    every episode, then searches all of their slots as one batch of lanes.
+    every episode at every speed, then searches all of their slots as one
+    batch of lanes.
     """
+    if not etas:
+        raise ValueError("etas is empty: a cell needs at least one overhead")
+    if not speeds:
+        raise ValueError("speeds is empty: a cell needs at least one speed")
     if shares_search(config, method):
-        slots = [slot for epoch in range(config.epochs)
+        slots = [slot for speed in speeds for epoch in range(config.epochs)
                  for slot in draw_slots(scenario.grid, speed, config.total_slots,
                                         episode_rng(config.master_seed, epoch))]
-        return search_slots(scenario, config, method, etas, slots)
-    cells: list[list[SlotResult]] = [[] for _ in etas]
-    for epoch in range(config.epochs):
-        episodes = run_episode(scenario, config, method, etas, speed,
-                               episode_rng(config.master_seed, epoch))
-        for results, episode in zip(cells, episodes):
-            results.extend(episode)
+        per_speed = config.epochs * config.total_slots
+        return [[results[lo:lo + per_speed] for lo in range(0, len(slots), per_speed)]
+                for results in search_slots(scenario, config, method, etas, slots)]
+    cells: list[list[list[SlotResult]]] = [[[] for _ in speeds] for _ in etas]
+    for j, speed in enumerate(speeds):
+        for epoch in range(config.epochs):
+            episodes = run_episode(scenario, config, method, etas, speed,
+                                   episode_rng(config.master_seed, epoch))
+            for by_speed, episode in zip(cells, episodes):
+                by_speed[j].extend(episode)
     return cells
 
 
@@ -99,17 +108,20 @@ def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list
     """Raw slot results for every cell, keyed by (method, overhead, speed) in
     `experiment_cells` order.
 
-    A method whose overheads can share a search (`tracker.shares_search`)
-    searches each speed once, as lanes, and every overhead reads its
-    budget's prefix; any other cell runs on its own.
+    Each `run_cell` call covers every speed.  A method whose overheads can
+    share a search (`tracker.shares_search`) makes one call, searched as
+    one batch of lanes, and every overhead reads its budget's prefix; any
+    other method makes one call per overhead.
     """
     scenario = scenario_from_config(config)
+    speeds = tuple(config.speeds)
     matrix = {}
     for method, eta, speed in experiment_cells(config):
         if (method, eta, speed) not in matrix:
             etas = tuple(config.overheads) if shares_search(config, method) else (eta,)
-            for overhead, results in zip(etas, run_cell(scenario, config, method, etas, speed)):
-                matrix[(method, overhead, speed)] = results
+            for overhead, by_speed in zip(etas, run_cell(scenario, config, method, etas, speeds)):
+                for s, results in zip(speeds, by_speed):
+                    matrix[(method, overhead, s)] = results
     return {cell: matrix[cell] for cell in experiment_cells(config)}
 
 

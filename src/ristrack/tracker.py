@@ -220,7 +220,7 @@ def measure(env: SlotEnv, cells, noise_rng: np.random.Generator | None = None):
     return np.abs(noise) ** 2
 
 
-LANE_CAP = 24  # lanes per lockstep chunk: bounds the (lanes, budget, cells) GP factor
+LANE_CAP = 48  # lanes per lockstep chunk: bounds the (lanes, budget, cells) GP factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,29 +373,53 @@ class _GpLanes:
 
 def _tpe_select(y: np.ndarray, cells: np.ndarray, seen: np.ndarray, parzen: np.ndarray,
                 gamma: float) -> np.ndarray:
-    """tpe_fit and select_next's density-ratio pick per lane."""
+    """tpe_fit and select_next's density-ratio pick per lane.
+
+    The Parzen table is symmetric bit for bit, so one row gather (n, lanes,
+    cells) in rank order holds tpe_fit's column gather, each lane's kernel
+    columns as rows."""
     n = y.shape[1]
     ranked = cells[np.arange(len(cells))[:, None], y.argsort(axis=1, kind="stable")]
     n_good = math.ceil(gamma * n)
-    scores = acquisition._density_ratio(_lane_density(parzen, ranked[:, :n_good]),
-                                        _lane_density(parzen, ranked[:, n_good:]))
+    rows = parzen.take(ranked.T, axis=0)
+    scores = acquisition._density_ratio(_lane_density(rows[:n_good]),
+                                        _lane_density(rows[n_good:]))
     scores[seen] = -np.inf
     return scores.argmax(axis=1)
 
 
-def _lane_density(parzen: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """surrogate._parzen_density per lane of `cells` (lanes, k): (lanes, cells).
-
-    Each mixture is summed along the contiguous last axis of one gather and
+def _lane_density(rows: np.ndarray) -> np.ndarray:
+    """surrogate._parzen_density per lane of the kernel rows `rows` (k,
+    lanes, cells): (lanes, cells), summed in `_pairwise_sum`'s order and
     normalized along a contiguous row, the per-slot summation orders."""
-    lanes, k = cells.shape
-    num_cells = parzen.shape[0]
+    k, lanes, num_cells = rows.shape
     if k == 0:
         return np.full((lanes, num_cells), 1.0 / num_cells)
-    raw = np.ascontiguousarray(np.add.reduce(parzen.take(cells, axis=1), axis=2).T)
+    raw = _pairwise_sum(rows)
     raw /= k
     raw /= np.add.reduce(raw, axis=1, keepdims=True)
     return raw
+
+
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum of `rows` over its leading axis, added in the order numpy's
+    pairwise summation adds a contiguous axis of the same length, so each
+    entry equals np.add.reduce of its terms laid out contiguously: fewer
+    than 8 terms in sequence, up to 128 in eight strided accumulators joined
+    as a tree with the rest added in order, and more split in two at a
+    multiple of 8.  A reduce over a leading axis adds its rows in sequence."""
+    n = len(rows)
+    if n < 8:
+        return np.add.reduce(rows, axis=0)
+    if n <= 128:
+        m = n - n % 8
+        r = np.add.reduce(rows[:m].reshape(m // 8, 8, *rows.shape[1:]), axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in rows[m:]:
+            total += row
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
 
 
 def shares_search(config: ExperimentConfig, method: Method) -> bool:

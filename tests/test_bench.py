@@ -218,7 +218,7 @@ class TestSharedSearch:
         scenario = scenario_from_config(config)
         assert list(matrix) == experiment_cells(config)
         for (method, eta, speed), results in matrix.items():
-            (alone,) = run_cell(scenario, config, method, (eta,), speed)
+            ((alone,),) = run_cell(scenario, config, method, (eta,), (speed,))
             assert results == alone, (method, eta, speed)
 
     def test_budget_one_is_timed_after_the_first_measurement(self):

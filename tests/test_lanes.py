@@ -34,21 +34,47 @@ def without_time(results):
     return [dataclasses.replace(r, elapsed=0.0) for r in results]
 
 
-def assert_lanes_equal_replay(cfg, method, etas, speed=1):
+def assert_lanes_equal_replay(cfg, method, etas, speeds=(1,)):
+    """run_cell's [eta][speed] results, each checked against replay_cell."""
     scenario = scenario_from_config(cfg)
-    got = run_cell(scenario, cfg, method, etas, speed)
-    want = replay_cell(scenario, cfg, method, etas, speed)
-    assert len(got) == len(etas)
-    for eta, lanes, slots in zip(etas, got, want):
-        assert len(lanes) == cfg.epochs * cfg.total_slots
-        assert without_time(lanes) == without_time(slots), eta
+    got = run_cell(scenario, cfg, method, etas, speeds)
+    assert len(got) == len(etas) and all(len(cells) == len(speeds) for cells in got)
+    for j, speed in enumerate(speeds):
+        want = replay_cell(scenario, cfg, method, etas, speed)
+        for eta, cells, slots in zip(etas, got, want):
+            assert len(cells[j]) == cfg.epochs * cfg.total_slots
+            assert without_time(cells[j]) == without_time(slots), (eta, speed)
     return got
 
 
 @pytest.mark.parametrize("etas", [(0.2, 0.4, 0.6), (0.004, 0.2), (0.2, 0.204)])
 @pytest.mark.parametrize("method", BO)
 def test_lanes_equal_one_search_per_slot_and_overhead(method, etas):
-    assert_lanes_equal_replay(config(overheads=etas), method, etas, speed=2)
+    assert_lanes_equal_replay(config(overheads=etas), method, etas, speeds=(2,))
+
+
+@pytest.mark.parametrize("method", BO)
+def test_one_batch_across_speeds(method, monkeypatch):
+    """Speeds 1 and 2 searched as one batch of 48 slots, in chunks of 10:
+    the chunk of lanes 20-29 holds the last four slots of speed 1 and the
+    first six of speed 2, and shares one time per budget across both."""
+    monkeypatch.setattr(tracker, "LANE_CAP", 10)
+    cfg = config(overheads=(0.2, 0.4), speeds=(1, 2), collect_timing=True)
+    for slow, fast in assert_lanes_equal_replay(cfg, method, (0.2, 0.4), speeds=(1, 2)):
+        straddling = slow[20:] + fast[:6]
+        assert len({r.elapsed for r in straddling}) == 1
+        assert straddling[0].elapsed > 0.0
+
+
+def test_run_cell_needs_an_overhead_and_a_speed():
+    """Either empty tuple raises by name, on the batch and the episode route."""
+    cfg = config()
+    scenario = scenario_from_config(cfg)
+    for method in Method:
+        with pytest.raises(ValueError, match="speeds is empty"):
+            run_cell(scenario, cfg, method, (0.2,), ())
+        with pytest.raises(ValueError, match="etas is empty"):
+            run_cell(scenario, cfg, method, (), (1,))
 
 
 @pytest.mark.parametrize("rows, cols", [(10, 10), (3, 5), (1, 7), (1, 1)])
@@ -56,7 +82,7 @@ def test_lanes_equal_one_search_per_slot_and_overhead(method, etas):
 def test_full_budget_on_any_grid(method, rows, cols):
     """At eta 1.0 every lane measures every cell, down to the 1x1 grid."""
     cfg = config(grid=GridMap(rows=rows, cols=cols), overheads=(1.0,))
-    (results,) = assert_lanes_equal_replay(cfg, method, (1.0,))
+    ((results,),) = assert_lanes_equal_replay(cfg, method, (1.0,))
     assert all(r.measurements_used == rows * cols for r in results)
     assert all(r.chosen_index == r.true_best_index for r in results)
 
@@ -73,7 +99,7 @@ def test_lane_count_not_a_multiple_of_the_cap(method, monkeypatch):
     time is its chunk's time to the pick over the chunk's lanes."""
     monkeypatch.setattr(tracker, "LANE_CAP", 5)
     cfg = config(overheads=(0.2, 0.4), collect_timing=True)
-    small, large = assert_lanes_equal_replay(cfg, method, (0.2, 0.4))
+    (small,), (large,) = assert_lanes_equal_replay(cfg, method, (0.2, 0.4))
     for chunk in range(5):
         lanes = slice(5 * chunk, 5 * chunk + 5)
         assert len({r.elapsed for r in small[lanes]}) == len({r.elapsed for r in large[lanes]}) == 1
@@ -172,3 +198,23 @@ def test_lane_inputs_are_checked():
     for budgets in ((0,), (10,)):
         with pytest.raises(ValueError, match="do not fit"):
             search_lanes(rsrp, [0, 1], Method.TPE_EI, budgets, tables, 0.25)
+
+
+@pytest.mark.parametrize("rows, cols", [(10, 10), (15, 15)])
+@pytest.mark.parametrize("lanes", [1, 3, "cap"])
+def test_row_density_equals_the_column_density(rows, cols, lanes):
+    """The lanes sum Parzen rows over a leading axis in numpy's pairwise
+    order; tpe_fit sums gathered columns along a contiguous axis.  Both must
+    agree bit for bit at every mixture size: 0, fewer than 8 terms, 8 to 128
+    and, on the 15x15 grid, more than 128 terms.  A numpy that sums in
+    another order fails here before it can move a pick."""
+    lanes = tracker.LANE_CAP if lanes == "cap" else lanes
+    parzen = kernel_tables(rows, cols).parzen
+    num_cells = rows * cols
+    rng = np.random.default_rng(rows * lanes)
+    for k in range(num_cells + 1):
+        cells = np.stack([rng.permutation(num_cells)[:k] for _ in range(lanes)])
+        got = tracker._lane_density(parzen.take(cells.T, axis=0))
+        for lane in range(lanes):
+            want, _ = surrogate._parzen_density(parzen.take(cells[lane], axis=1))
+            assert got[lane].tobytes() == want.tobytes(), (k, lane)

@@ -107,6 +107,14 @@ class TestRbfKernel:
             with pytest.raises(ValueError):
                 table[0, 0] = 0.0
 
+    @pytest.mark.parametrize("bandwidth", [1.0, 0.7, 2.3])
+    def test_parzen_table_is_exactly_symmetric(self, bandwidth):
+        """The TPE-EI lanes gather Parzen rows where tpe_fit gathers columns."""
+        build = kernel_tables.__wrapped__
+        for rows, cols in ((3, 5), (7, 4), (10, 10)):
+            parzen = build(rows, cols, 2.0, bandwidth).parzen
+            assert parzen.tobytes() == np.ascontiguousarray(parzen.T).tobytes()
+
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 7), (7, 1), (3, 5), (10, 10), (16, 16)])
     def test_tables_equal_the_cdist_route_bit_for_bit(self, rows, cols):
         build = kernel_tables.__wrapped__  # uncached: this sweep evicts no shared entry
