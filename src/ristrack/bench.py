@@ -13,8 +13,8 @@ import numpy as np
 from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import (Method, SlotResult, TrackingScenario, draw_slots, run_episode,
-                      search_slots, shares_search)
+from .tracker import (BO_METHODS, Method, SlotResult, TrackingScenario, run_episode,
+                      search_episodes, shares_search)
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -57,15 +57,14 @@ def compute_metrics(results: list[SlotResult], method: str, speed: int,
     )
 
 
+def _overheads(config: ExperimentConfig, method: Method) -> tuple[float, ...]:
+    return (1.0,) if method == Method.ERGODIC else tuple(config.overheads)
+
+
 def experiment_cells(config: ExperimentConfig) -> list[tuple[Method, float, int]]:
     """Row order of the result table; the sweep method ignores overhead."""
-    cells = []
-    for method in config.methods:
-        etas = (1.0,) if method == Method.ERGODIC else tuple(config.overheads)
-        for eta in etas:
-            for speed in config.speeds:
-                cells.append((method, eta, speed))
-    return cells
+    return [(method, eta, speed) for method in config.methods
+            for eta in _overheads(config, method) for speed in config.speeds]
 
 
 def episode_rng(master_seed: int, epoch: int) -> np.random.Generator:
@@ -79,49 +78,41 @@ def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Metho
     `speeds`, `[eta][speed]`: `epochs` independent episodes each (see
     `tracker.run_episode`).
 
-    A method that shares its search (`tracker.shares_search`) first draws
-    every episode at every speed, then searches all of their slots as one
-    batch of lanes.
+    Overheads that share a search (`tracker.shares_search`) are one group,
+    any other overhead a group of its own.  A BO group searches every
+    episode at every speed with one `tracker.search_episodes` call; the
+    sweep and random search run each episode slot by slot.
     """
     if not etas:
         raise ValueError("etas is empty: a cell needs at least one overhead")
     if not speeds:
         raise ValueError("speeds is empty: a cell needs at least one speed")
-    if shares_search(config, method):
-        slots = [slot for speed in speeds for epoch in range(config.epochs)
-                 for slot in draw_slots(scenario.grid, speed, config.total_slots,
-                                        episode_rng(config.master_seed, epoch))]
-        per_speed = config.epochs * config.total_slots
-        return [[results[lo:lo + per_speed] for lo in range(0, len(slots), per_speed)]
-                for results in search_slots(scenario, config, method, etas, slots)]
-    cells: list[list[list[SlotResult]]] = [[[] for _ in speeds] for _ in etas]
-    for j, speed in enumerate(speeds):
-        for epoch in range(config.epochs):
-            episodes = run_episode(scenario, config, method, etas, speed,
-                                   episode_rng(config.master_seed, epoch))
-            for by_speed, episode in zip(cells, episodes):
-                by_speed[j].extend(episode)
+    groups = [etas] if shares_search(config, method) else [(eta,) for eta in etas]
+    per_speed = config.epochs * config.total_slots
+    cells = []
+    for group in groups:
+        episodes = [(speed, episode_rng(config.master_seed, epoch))
+                    for speed in speeds for epoch in range(config.epochs)]
+        if method in BO_METHODS:
+            found = search_episodes(scenario, config, method, group, episodes)
+        else:
+            found = [[r for speed, rng in episodes
+                      for r in run_episode(scenario, config, method, group, speed, rng)[0]]]
+        cells += [[results[lo:lo + per_speed] for lo in range(0, len(results), per_speed)]
+                  for results in found]
     return cells
 
 
 def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list[SlotResult]]:
     """Raw slot results for every cell, keyed by (method, overhead, speed) in
-    `experiment_cells` order.
-
-    Each `run_cell` call covers every speed.  A method whose overheads can
-    share a search (`tracker.shares_search`) makes one call, searched as
-    one batch of lanes, and every overhead reads its budget's prefix; any
-    other method makes one call per overhead.
-    """
+    `experiment_cells` order, from one `run_cell` call per method."""
     scenario = scenario_from_config(config)
-    speeds = tuple(config.speeds)
     matrix = {}
-    for method, eta, speed in experiment_cells(config):
-        if (method, eta, speed) not in matrix:
-            etas = tuple(config.overheads) if shares_search(config, method) else (eta,)
-            for overhead, by_speed in zip(etas, run_cell(scenario, config, method, etas, speeds)):
-                for s, results in zip(speeds, by_speed):
-                    matrix[(method, overhead, s)] = results
+    for method in config.methods:
+        etas = _overheads(config, method)
+        for eta, by_speed in zip(etas, run_cell(scenario, config, method, etas, config.speeds)):
+            for speed, results in zip(config.speeds, by_speed):
+                matrix[(method, eta, speed)] = results
     return {cell: matrix[cell] for cell in experiment_cells(config)}
 
 

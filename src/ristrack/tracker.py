@@ -113,6 +113,8 @@ class TrackingScenario:
     def fill(self, cells) -> None:
         """Build the table rows of the cells in `cells` that are not built yet."""
         for cell in cells:
+            if not 0 <= cell < len(self.true_best):  # numpy would read -1 from the other end
+                raise ValueError(f"cell index {cell} out of range")
             if self.true_best[cell] < 0:
                 h = ris_ue_channel(self.scene, self.ris, self.centers[cell])
                 signals = self.codebook.phasors @ (h * self.forward)
@@ -142,8 +144,6 @@ class SlotEnv:
 def build_slot_env(scenario: TrackingScenario, cell: int) -> SlotEnv:
     """The slot's environment with the UE at the centre of grid cell `cell`:
     read-only views of the cell's table row, built if this is its first read."""
-    if not 0 <= cell < len(scenario.centers):  # a negative index would pick a cell silently
-        raise ValueError(f"cell index {cell} out of range")
     scenario.fill((cell,))
     return SlotEnv(grid=scenario.grid, signals=scenario.signals[cell],
                    rsrp_values=scenario.rsrp[cell], noise_power=scenario.noise_power,
@@ -151,38 +151,20 @@ def build_slot_env(scenario: TrackingScenario, cell: int) -> SlotEnv:
 
 
 def track_slot(env: SlotEnv, config: ExperimentConfig, method: Method, eta: float,
-               rng: np.random.Generator, slot_index: int = 1,
-               warm_index: int | None = None) -> SlotResult:
-    """Run one slot of beam search and report chosen vs. true-best power.
-
-    A BO slot is one lane of `search_lanes`, measured through `measure`, so
-    a noisy slot draws its noise from `rng` in measurement order.  Its first
-    cell is `warm_index` if given, else a draw from `rng`; the sweep and
-    random search have no first cell.
-    """
+               rng: np.random.Generator, slot_index: int = 1) -> SlotResult:
+    """Run one slot of the sweep or random search and report chosen vs.
+    true-best power.  BO slots are searched as lanes (`search_episodes`)."""
+    if method in BO_METHODS:
+        raise ValueError(f"{method.value} slots are searched as lanes by search_episodes")
     num_cells = env.rsrp_values.shape[0]
     budget = slot_budget(method, eta, num_cells)
-    noise_rng = rng if config.measure_with_noise else None
-    if method in BO_METHODS:
-        if warm_index is not None and not 0 <= warm_index < num_cells:
-            raise ValueError(f"warm_index {warm_index} is outside the grid's {num_cells} cells")
-        tables = surrogate.kernel_tables(env.grid.rows, env.grid.cols,  # cached; before the timer
-                                         config.gp_length_scale, config.kde_bandwidth)
-        if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
-            acquisition.normal_cdf(0.0)
     t0 = time.perf_counter() if config.collect_timing else 0.0
-    if method in BO_METHODS:
-        first = warm_index if warm_index is not None else int(rng.integers(num_cells))
-        found = search_lanes(env.rsrp_values[None], np.array([first]), method, (budget,), tables,
-                             config.tpe_gamma, observe=lambda k: measure(env, k, noise_rng))
-        chosen = int(found.chosen[0, 0])
+    if method == Method.ERGODIC:
+        cells = np.arange(num_cells)
     else:
-        if method == Method.ERGODIC:
-            cells = np.arange(num_cells)
-        else:
-            cells = rng.choice(num_cells, size=budget, replace=False)
-        values = measure(env, cells, noise_rng)
-        chosen = int(cells[values.argmax()])  # first maximum, in measurement order
+        cells = rng.choice(num_cells, size=budget, replace=False)
+    values = measure(env, cells, rng if config.measure_with_noise else None)
+    chosen = int(cells[values.argmax()])  # first maximum, in measurement order
     elapsed = (time.perf_counter() - t0) if config.collect_timing else 0.0
     return _slot_result(env.rsrp_values, env.true_best, slot_index, chosen, budget, elapsed)
 
@@ -228,7 +210,6 @@ class LaneSearch:
     """What `search_lanes` found: per budget (in the order asked) and lane."""
 
     chosen: np.ndarray   # (budgets, lanes) cell picked at each budget
-    used: np.ndarray     # (budgets,) measurements each pick was made from, counted
     elapsed: np.ndarray  # (budgets, lanes) chunk seconds to the pick / lanes in the chunk
     cells: np.ndarray    # (lanes, largest budget) measured cells in measurement order
     steps: int           # lane-steps run: one fit and one pick per lane and step
@@ -236,7 +217,8 @@ class LaneSearch:
 
 def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
                  budgets: tuple[int, ...], tables: surrogate.KernelTables, gamma: float,
-                 clock=_no_clock, observe=None) -> LaneSearch:
+                 clock=_no_clock, signals: np.ndarray | None = None,
+                 noise: np.ndarray | None = None) -> LaneSearch:
     """BO searches of many slots, in lockstep: per step, one fit, pick and
     measurement in every lane.
 
@@ -248,9 +230,10 @@ def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
     budget, and budget b reads the first b measurements: its pick is their
     first maximum.  Lanes run in chunks of LANE_CAP; a lane's time to a pick
     is its chunk's time, divided by the chunk's lanes.  `clock` times the
-    chunks (by default every time is 0).  `observe`, if given, maps a
-    one-lane search's new cells to their measured powers in place of `rsrp`,
-    so a noisy slot draws its noise in measurement order.
+    chunks (by default every time is 0).  With `noise` (lanes, largest
+    budget) complex, lane l's n-th measurement, of cell k, reads
+    |signals[l, k] + noise[l, n]|^2 in place of rsrp[l, k]: `measure`'s
+    arithmetic on noise drawn before the search.
     """
     if method not in BO_METHODS:
         raise ValueError(f"{method.value} search is not a BO search and has no lanes")
@@ -263,27 +246,28 @@ def search_lanes(rsrp: np.ndarray, first: np.ndarray, method: Method,
     if first.shape != (lanes,) or not ((0 <= first) & (first < num_cells)).all():
         raise ValueError(f"first cells must be {lanes} indices of the grid's {num_cells} cells")
     checkpoints = sorted(set(budgets))
+    noise_shape = (lanes, checkpoints[-1])
+    if noise is not None and (np.shape(signals), noise.shape) != (rsrp.shape, noise_shape):
+        raise ValueError(f"signals and noise must be {rsrp.shape} and {noise_shape}")
     chosen = np.empty((len(checkpoints), lanes), dtype=np.intp)
-    used = np.empty(len(checkpoints), dtype=np.intp)
     elapsed = np.zeros((len(checkpoints), lanes))
     cells = np.empty((lanes, checkpoints[-1]), dtype=np.intp)
     steps = 0
     for lo in range(0, lanes, LANE_CAP):
         part = slice(lo, lo + LANE_CAP)
+        noisy = None if noise is None else (signals[part], noise[part])
         steps += _search_chunk(rsrp[part], first[part], method, checkpoints, tables, gamma,
-                               clock, observe, chosen[:, part], used, elapsed[:, part],
-                               cells[part])
+                               clock, noisy, chosen[:, part], elapsed[:, part], cells[part])
     rows = [checkpoints.index(b) for b in budgets]
-    return LaneSearch(chosen=chosen[rows], used=used[rows], elapsed=elapsed[rows], cells=cells,
-                      steps=steps)
+    return LaneSearch(chosen=chosen[rows], elapsed=elapsed[rows], cells=cells, steps=steps)
 
 
 def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoints: list[int],
-                  tables: surrogate.KernelTables, gamma: float, clock, observe,
-                  chosen: np.ndarray, used: np.ndarray, elapsed: np.ndarray,
-                  cells: np.ndarray) -> int:
-    """One chunk of `search_lanes`: fills its lanes' part of chosen, used,
-    elapsed and cells; returns its lane-steps."""
+                  tables: surrogate.KernelTables, gamma: float, clock, noisy,
+                  chosen: np.ndarray, elapsed: np.ndarray, cells: np.ndarray) -> int:
+    """One chunk of `search_lanes`: fills its lanes' part of chosen, elapsed
+    and cells; returns its lane-steps.  `noisy` is None or the chunk's
+    (signals, noise)."""
     lanes, num_cells = rsrp.shape
     top = checkpoints[-1]
     lane = np.arange(lanes)
@@ -296,7 +280,11 @@ def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoin
     def record(n: int, new: np.ndarray) -> None:
         cells[:, n] = new
         seen[lane, new] = True
-        values[:, n] = rsrp[lane, new] if observe is None else observe(new)
+        if noisy is None:
+            values[:, n] = rsrp[lane, new]
+        else:
+            signals, noise = noisy
+            values[:, n] = np.abs(signals[lane, new] + noise[:, n]) ** 2
         y[:, n] = [-10.0 * math.log10(max(v, 1e-300)) for v in values[:, n].tolist()]
         np.minimum(best, y[:, n], out=best)  # propagates NaN as ObservationHistory.best does
 
@@ -306,7 +294,6 @@ def _search_chunk(rsrp: np.ndarray, first: np.ndarray, method: Method, checkpoin
     for n in range(1, top + 1):  # n measurements so far
         if n == checkpoints[due]:  # first maximum, in measurement order
             chosen[due] = cells[lane, values[:, :n].argmax(axis=1)]
-            used[due] = n
             elapsed[due] = (clock() - t0) / lanes
             due += 1
             if n == top:
@@ -428,10 +415,9 @@ def shares_search(config: ExperimentConfig, method: Method) -> bool:
     A BO slot without noise or warm start draws from the episode's stream
     once, for its first cell, and each later step depends on the history
     alone; so every budget measures the same cells in the same order and
-    leaves the stream in the same state for the next slot.  Such slots are
-    independent of one another once drawn, and `search_slots` runs them as
-    many lanes of one search.  Any other BO slot depends on the slot before
-    it (its noise draws or its pick), so `track_slot` runs it as a lane of one.
+    leaves the stream in the same state for the next slot.  Any other slot
+    draws per measurement (noise, random search) or starts at the last
+    slot's pick (warm start), so each budget is an episode of its own.
     """
     return method in BO_METHODS and not (config.measure_with_noise or config.warm_start)
 
@@ -440,42 +426,71 @@ def _start_cell(grid: GridMap, rng: np.random.Generator) -> int:
     return grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
 
 
-def draw_slots(grid: GridMap, speed: int, total_slots: int,
-               rng: np.random.Generator) -> list[tuple[int, int]]:
-    """(cell, first measured cell) of each slot of a noise-free, cold-start BO
-    episode: the draws `run_episode` makes, in its order, with no search."""
-    cell = _start_cell(grid, rng)
-    slots = []
-    for _ in range(total_slots):
-        cell = mobility_step(cell, speed, grid, rng)
-        slots.append((cell, int(rng.integers(grid.num_cells))))
-    return slots
+def _check_etas(config: ExperimentConfig, method: Method, etas: tuple[float, ...]) -> None:
+    if not etas:
+        raise ValueError("etas is empty: an episode needs at least one overhead")
+    if len(etas) > 1 and not shares_search(config, method):
+        raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
 
 
-def search_slots(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-                 etas: tuple[float, ...], slots: list[tuple[int, int]]) -> list[list[SlotResult]]:
-    """One result list per eta for `slots`, whole episodes of `draw_slots`
-    pairs in order, searched as lanes by `search_lanes`."""
-    cells = [cell for cell, _ in slots]
+def search_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                    etas: tuple[float, ...],
+                    episodes: list[tuple[int, np.random.Generator]]) -> list[list[SlotResult]]:
+    """One result list per eta of BO episodes, `(speed, rng)` pairs: every
+    slot of the first episode, then of the next.
+
+    Every draw comes first, per episode in the order of a slot-by-slot
+    episode: the start cell, then per slot the walk, the first measured cell
+    (under warm start, in slot 1 only) and, with noise, the slot's noise in
+    one normal call of shape (budget, 2), the stream of one (real,
+    imaginary) pair per measurement.  Then each slot is a lane of
+    `search_lanes`: every slot at once from a cold start; under warm start,
+    slot t of every episode after slot t - 1, starting at its pick.
+    Several etas share one search per slot, so they need `shares_search`.
+    """
+    _check_etas(config, method, etas)
+    grid = scenario.grid
+    budgets = tuple(slot_budget(method, eta, grid.num_cells) for eta in etas)
+    sigma = float(np.sqrt(scenario.noise_power / 2.0))
+    cells, first, noise = [], [], []
+    for speed, rng in episodes:
+        cell = _start_cell(grid, rng)
+        for t in range(config.total_slots):
+            cell = mobility_step(cell, speed, grid, rng)
+            cells.append(cell)
+            if t == 0 or not config.warm_start:
+                first.append(int(rng.integers(grid.num_cells)))
+            if config.measure_with_noise:
+                noise.append(rng.normal(0.0, sigma, size=(budgets[0], 2)))
     scenario.fill(cells)
     rsrp = scenario.rsrp[cells]
-    true_best = scenario.true_best[cells].tolist()
-    first = np.array([k for _, k in slots], dtype=np.intp)
-    tables = surrogate.kernel_tables(scenario.grid.rows, scenario.grid.cols,
-                                     config.gp_length_scale, config.kde_bandwidth)
+    signals, noise = ((scenario.signals[cells], np.array(noise).view(complex)[..., 0])
+                      if noise else (None, None))
+    tables = surrogate.kernel_tables(grid.rows, grid.cols, config.gp_length_scale,
+                                     config.kde_bandwidth)
     if method == Method.GP_EI:  # the first call imports scipy.special: not inside the timer
         acquisition.normal_cdf(0.0)
-    budgets = tuple(slot_budget(method, eta, rsrp.shape[1]) for eta in etas)
-    found = search_lanes(rsrp, first, method, budgets, tables, config.tpe_gamma,
-                         time.perf_counter if config.collect_timing else _no_clock)
+    clock = time.perf_counter if config.collect_timing else _no_clock
+    chosen = np.empty((len(budgets), len(cells)), dtype=np.intp)
+    elapsed = np.empty(chosen.shape)
+    parts = ([slice(t, None, config.total_slots) for t in range(config.total_slots)]
+             if config.warm_start else [slice(None)])
+    start = np.array(first, dtype=np.intp)
+    for part in parts:
+        noisy = (None, None) if noise is None else (signals[part], noise[part])
+        found = search_lanes(rsrp[part], start, method, budgets, tables, config.tpe_gamma, clock,
+                             *noisy)
+        chosen[:, part], elapsed[:, part] = found.chosen, found.elapsed
+        start = found.chosen[0]  # a warm start's next first cells
+    true_best = scenario.true_best[cells].tolist()
     # A chunk's lanes share one time per budget, so their results share one
     # float object: 8 bytes per slot, not 32, in any list that keeps the times.
     times: dict[float, float] = {}
-    return [[_slot_result(row, best, i % config.total_slots + 1, pick, used,
+    return [[_slot_result(row, best, i % config.total_slots + 1, pick, budget,
                           times.setdefault(secs, secs))
-             for i, (row, best, pick, secs) in enumerate(zip(rsrp, true_best, chosen.tolist(),
+             for i, (row, best, pick, secs) in enumerate(zip(rsrp, true_best, picks.tolist(),
                                                              spent.tolist()))]
-            for chosen, used, spent in zip(found.chosen, found.used.tolist(), found.elapsed)]
+            for picks, budget, spent in zip(chosen, budgets, elapsed)]
 
 
 def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
@@ -485,33 +500,26 @@ def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Me
     plus per-slot beam search, the UE starting in a uniformly random cell and
     walking at random, reflected at the grid's edge.
 
-    Several etas share one search per slot, so they need
-    `shares_search(config, method)`; such an episode is drawn first and
-    searched as lanes.  With warm_start the previous slot's chosen entry
-    replaces the random initial measurement.  With timing on, the slots of
-    an episode searched slot by slot all report its mean search time.
+    A BO episode is drawn first and searched as lanes (`search_episodes`);
+    several etas share one search per slot, so they need
+    `shares_search(config, method)`.  With warm_start the previous slot's
+    chosen entry replaces the random initial measurement.  The sweep and
+    random search run slot by slot, and with timing on every slot reports
+    the episode's mean search time.
     """
-    if not etas:
-        raise ValueError("etas is empty: an episode needs at least one overhead")
-    if shares_search(config, method):
-        return search_slots(scenario, config, method, etas,
-                            draw_slots(scenario.grid, speed, config.total_slots, rng))
-    if len(etas) > 1:
-        raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
+    if method in BO_METHODS:
+        return search_episodes(scenario, config, method, etas, [(speed, rng)])
+    _check_etas(config, method, etas)
     grid = scenario.grid
     cell = _start_cell(grid, rng)
     episode: list[SlotResult] = []
-    warm: int | None = None
     for t in range(1, config.total_slots + 1):
         cell = mobility_step(cell, speed, grid, rng)
-        result = track_slot(build_slot_env(scenario, cell), config, method, etas[0], rng,
-                            slot_index=t, warm_index=warm)
-        if config.warm_start:
-            warm = result.chosen_index
-        episode.append(result)
+        episode.append(track_slot(build_slot_env(scenario, cell), config, method, etas[0], rng,
+                                  slot_index=t))
     if config.collect_timing:
         # Every slot reports the episode's mean search time, one float object
-        # for all of them, as a chunk's lanes share one in `search_slots`.
+        # for all of them, as a chunk's lanes share one in `search_episodes`.
         mean = sum(r.elapsed for r in episode) / len(episode)
         episode = [SlotResult(r.slot_index, r.true_best_index, r.chosen_index, r.true_best_rsrp,
                               r.achieved_rsrp, r.measurements_used, mean) for r in episode]

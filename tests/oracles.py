@@ -2,13 +2,12 @@
 
 Each computes one quantity directly from its definition, with no caching,
 tables or batching; `reference_track_slot` runs one slot's search on the
-public surrogate and acquisition API, and `replay_episode` and `replay_cell`
-run it slot by slot: the per-slot search that the lockstep lanes of
-`tracker.search_lanes` stack.  The oracles `ristrack validate` runs live in
+public surrogate and acquisition API, one measurement call at a time, and
+`replay_episode` and `replay_cell` run it slot by slot on one stream: the
+per-slot search that `tracker.search_episodes` draws first and stacks as
+lockstep lanes.  The oracles `ristrack validate` runs live in
 `ristrack.validate`.
 """
-
-import copy
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -129,36 +128,30 @@ def reference_track_slot(env, config, method, eta, rng, slot_index=1, warm_index
         measurements_used=len(measured), elapsed=0.0)
 
 
-def replay_episode(scenario, config, method, etas, speed, rng):
-    """Per-slot reference for a noise-free, cold-start BO episode: one result
-    list per eta.
-
-    Each slot makes `run_episode`'s draws in its order, then runs
-    `reference_track_slot` once per eta, each from a copy of the stream; the
-    stream goes on from the copies' common state, as one search per slot
-    leaves it.
-    """
+def replay_episode(scenario, config, method, eta, speed, rng):
+    """Per-slot reference for one episode at one overhead, on the one stream
+    `rng`, as every episode ran before the lanes: each slot walks, then runs
+    `reference_track_slot` (its first-cell draw, then one noise pair per
+    measurement), and under warm start each slot after the first starts at
+    the previous slot's pick."""
     grid = scenario.grid
     cell = grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
-    episodes = [[] for _ in etas]
+    episode = []
+    warm = None
     for t in range(1, config.total_slots + 1):
         cell = tracker.mobility_step(cell, speed, grid, rng)
-        env = tracker.build_slot_env(scenario, cell)
-        streams = [copy.deepcopy(rng) for _ in etas]
-        for episode, eta, stream in zip(episodes, etas, streams):
-            episode.append(reference_track_slot(env, config, method, eta, stream, slot_index=t))
-        states = [stream.bit_generator.state for stream in streams]
-        assert all(state == states[0] for state in states)
-        rng.bit_generator.state = states[0]
-    return episodes
+        result = reference_track_slot(tracker.build_slot_env(scenario, cell), config, method,
+                                      eta, rng, slot_index=t, warm_index=warm)
+        if config.warm_start:
+            warm = result.chosen_index
+        episode.append(result)
+    return episode
 
 
 def replay_cell(scenario, config, method, etas, speed):
-    """`replay_episode` over every epoch: the reference for `bench.run_cell`."""
-    cells = [[] for _ in etas]
-    for epoch in range(config.epochs):
-        episodes = replay_episode(scenario, config, method, etas, speed,
-                                  episode_rng(config.master_seed, epoch))
-        for results, episode in zip(cells, episodes):
-            results.extend(episode)
-    return cells
+    """`replay_episode` per eta over every epoch, each from a fresh stream:
+    the reference for `bench.run_cell`, whose overheads may share a search."""
+    return [[r for epoch in range(config.epochs)
+             for r in replay_episode(scenario, config, method, eta, speed,
+                                     episode_rng(config.master_seed, epoch))]
+            for eta in etas]

@@ -33,13 +33,21 @@ from ristrack.bench import (
 from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
-from ristrack.tracker import Method, SlotResult, build_slot_env, run_episode, track_slot
+from ristrack.tracker import (BO_METHODS, Method, SlotResult, build_slot_env, run_episode,
+                              search_episodes, track_slot)
 
 from oracles import replay_cell
 
 # sha256 of `metrics.csv` for the default config with epochs = 5 and
 # collect_timing = false.
 SEEDED_METRICS_SHA256 = "e8208c391dd5c30dcfd182ee57611eecd4978d327b27a469d8007c42070c8f64"
+# The same, with noise at -50 dBm, warm start, or both: the bytes the
+# slot-by-slot route wrote before noisy and warm-start BO slots ran as lanes.
+SEEDED_SETTING_METRICS_SHA256 = {
+    "noise": "2a0940ce6393b1fb29cc3336ee86fd52ebb287b6d9666100e6b6a9cd79082aef",
+    "warm": "598e90297f11a017073608e2364248c10952be54d3639f8f978ad14247aa9263",
+    "both": "f6e180e1eaf130824d55facece630af6fde6f91cada0bd686263ed6bea163e93",
+}
 
 
 def slot(true_rsrp, achieved_rsrp, true_idx=0, chosen_idx=0, used=20, elapsed=0.01, t=1):
@@ -161,6 +169,20 @@ class TestExperimentMatrix:
         emit_csv(run_experiment(config), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_METRICS_SHA256
 
+    @pytest.mark.parametrize("setting", list(SEEDED_SETTING_METRICS_SHA256))
+    def test_noisy_and_warm_start_metrics_csv_is_pinned(self, tmp_path, setting):
+        """The same matrix with noise at -50 dBm, where it moves picks, and
+        with warm start: BO slots drawn first and searched as lanes write the
+        bytes of one stream per episode searched slot by slot."""
+        config = dataclasses.replace(ExperimentConfig(), epochs=5, collect_timing=False,
+                                     scene=SceneConfig(noise_power_dbm=-50.0),
+                                     measure_with_noise=setting in ("noise", "both"),
+                                     warm_start=setting in ("warm", "both"))
+        path = tmp_path / "metrics.csv"
+        emit_csv(run_experiment(config), path)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == SEEDED_SETTING_METRICS_SHA256[setting])
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_blas_thread_count_leaves_seeded_csv_pinned(self, tmp_path, threads):
         """The run uses the BLAS library's own thread count, set here by
@@ -188,7 +210,7 @@ class TestSharedSearch:
     """Without noise and warm start `run_matrix` searches each BO (method,
     speed, epoch, slot) once at the largest budget, as a lane, and each
     overhead reads its budget's prefix; the rows must be those of one
-    `track_slot` search per slot and overhead (`oracles.replay_cell`)."""
+    per-slot search per slot and overhead (`oracles.replay_cell`)."""
 
     def assert_cells_equal_replay(self, config):
         matrix = run_matrix(config)
@@ -256,8 +278,8 @@ class TestSharedSearch:
     def test_fit_count(self, noisy, monkeypatch):
         """(largest budget - 1) lane-steps per BO (method, speed, epoch,
         slot) when the overheads share a search, and Σ(budget - 1) over
-        every overhead when each searches on its own, as a lane of one:
-        counted by the lane engine, with no surrogate fit either way."""
+        every overhead when each searches its own episodes: counted by the
+        lane engine, with no surrogate fit either way."""
         fits = []
         lane_steps = {}
 
@@ -286,8 +308,9 @@ class TestSharedSearch:
 
 def test_benchmark_span_points_resolve():
     """Every function `perfbench/spans.py` wraps exists under its home module,
-    and `track_slot` returns the `SlotResult` whose `measurements_used` the
-    tracer reads: a rename fails here, not in a traced benchmark run."""
+    and `track_slot` (the sweep and random search) returns the `SlotResult`
+    whose `measurements_used` the tracer reads, as `search_episodes` does for
+    BO: a rename fails here, not in a traced benchmark run."""
     tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "spans.py").read_text())
     points = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign)
@@ -297,9 +320,13 @@ def test_benchmark_span_points_resolve():
     config = small_config()
     scenario = scenario_from_config(config)
     env = build_slot_env(scenario, 0)
-    for method in Method:
+    for method in (Method.ERGODIC, Method.RANDOM):
         assert isinstance(track_slot(env, config, method, 0.2, np.random.default_rng(0)),
                           SlotResult), method
+    for method in BO_METHODS:
+        ((result, *_),) = search_episodes(scenario, config, method, (0.2,),
+                                          [(1, np.random.default_rng(0))])
+        assert isinstance(result, SlotResult), method
 
 
 @pytest.mark.parametrize("trace", ["0", "1"])

@@ -130,9 +130,10 @@ def test_cli_import_loads_no_oracle_or_distance_modules():
 
 
 def test_scipy_special_loads_for_gp_ei_only_and_before_the_timer():
-    """Episodes without GP-EI never import scipy.special.  A GP-EI slot imports
-    it before its timer starts, so no slot's `elapsed` includes the import:
-    every perf_counter call the slot makes sees it loaded already."""
+    """Episodes without GP-EI never import scipy.special.  A GP-EI episode
+    imports it before its lanes' timer starts, so no slot's `elapsed`
+    includes the import: every perf_counter call the search makes (the start
+    and the pick of its one chunk) sees it loaded already."""
     code = """
 import sys, time
 import numpy as np
@@ -147,8 +148,7 @@ print("scipy.special" in sys.modules)
 real = time.perf_counter
 loaded = []
 tracker.time.perf_counter = lambda: loaded.append("scipy.special" in sys.modules) or real()
-tracker.track_slot(tracker.build_slot_env(scenario, 0), config, Method.GP_EI, 0.2,
-                   np.random.default_rng(0))
+tracker.run_episode(scenario, config, Method.GP_EI, (0.2,), 1, np.random.default_rng(0))
 print(loaded)
 """
     assert _fresh_python(code).split("\n")[:2] == ["False", "[True, True]"]

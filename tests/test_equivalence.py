@@ -4,11 +4,11 @@
 slow reference: float (row, col) points, a `cdist` kernel at every step, a
 full Cholesky factorization per GP fit, and a broadcast compare to drop
 measured points.  On seeded episodes the production core, the lanes of
-`tracker.search_lanes`, must measure the identical cell sequence, whether a
-slot runs as one of many lanes or, noisy or warm-started, as a lane of one.
+`tracker.search_lanes`, must measure the identical cell sequence from each
+lane's first cell and noise, and the episodes must give what the one-stream,
+slot-by-slot replay `oracles.replay_episode` gives.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -20,15 +20,16 @@ from scipy.spatial.distance import cdist
 from ristrack import tracker
 from ristrack.acquisition import expected_improvement, select_next
 from ristrack.bench import episode_rng, scenario_from_config
-from ristrack.channel import lin_to_db
+from ristrack.channel import SceneConfig, lin_to_db
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import JITTER_SCALE, ObservationHistory, gp_fit, kernel_tables, tpe_fit
 from ristrack.tracker import Method, SlotEnv, run_episode, slot_budget
 
-from oracles import parzen_density
+from oracles import parzen_density, replay_episode
 
-CONFIG = ExperimentConfig(collect_timing=False)
+# At -50 dBm noise moves picks; without measure_with_noise the floor is unused.
+CONFIG = ExperimentConfig(collect_timing=False, scene=SceneConfig(noise_power_dbm=-50.0))
 
 
 def reference_scores(config, method, candidates, keep, x, y):
@@ -80,51 +81,38 @@ def reference_bo_loop(env, config, method, rng, budget, warm_index, measure):
 
 @pytest.fixture
 def compared_slots(monkeypatch):
-    """Run every BO slot through the lanes and the reference loop; collect
-    (new, reference) sequences.
-
-    A slot searched on its own runs as a lane of one inside `track_slot`,
-    and its reference replays the slot's stream (first-cell draw and noise)
-    from a copy taken when the slot starts.  A noise-free, cold-start slot
-    runs as one of many lanes, and its reference starts at the lane's first
-    cell."""
+    """Run every BO lane through the lanes and the reference loop; collect
+    (new, reference) sequences.  Each lane's reference starts at the lane's
+    first cell, and with noise its n-th measurement of cell k reads
+    |signals[k] + noise[n]|^2 from the lane's own arrays."""
     pairs = []
-    slot, lanes = tracker.track_slot, tracker.search_lanes
-    replayed = []  # the reference of the slot `track_slot` is searching
+    lanes = tracker.search_lanes
 
-    def both(env, config, method, eta, rng, slot_index=1, warm_index=None):
-        ref_rng = copy.deepcopy(rng)
-        ref_noise = ref_rng if config.measure_with_noise else None
-        ref = reference_bo_loop(env, config, method, ref_rng,
-                                slot_budget(method, eta, env.rsrp_values.shape[0]), warm_index,
-                                lambda k: tracker.measure(env, k, ref_noise))
-        replayed.append([k for k, _ in ref])
-        got = slot(env, config, method, eta, rng, slot_index, warm_index)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        return got
-
-    def each_lane(rsrp, first, method, budgets, tables, gamma, *args, **kwargs):
-        got = lanes(rsrp, first, method, budgets, tables, gamma, *args, **kwargs)
-        if replayed:  # a lane of one inside track_slot
-            pairs.append((got.cells[0].tolist(), replayed.pop()))
-            return got
+    def each_lane(rsrp, first, method, budgets, tables, gamma, clock=tracker._no_clock,
+                  signals=None, noise=None):
+        got = lanes(rsrp, first, method, budgets, tables, gamma, clock, signals, noise)
         rows, cols = (int(x) + 1 for x in tables.coords[-1])
         grid = GridMap(rows=rows, cols=cols)
-        for row, start, cells in zip(rsrp, first, got.cells):
+        for lane, (row, start, cells) in enumerate(zip(rsrp, first, got.cells)):
             env = SlotEnv(grid=grid, signals=np.sqrt(row) + 0j, rsrp_values=row, noise_power=0.0)
+            if noise is None:
+                measure = row.__getitem__
+            else:
+                draws = iter(noise[lane])
+                measure = lambda k, lane=lane, draws=draws: np.abs(signals[lane, k]
+                                                                   + next(draws)) ** 2
             ref = reference_bo_loop(env, dataclasses.replace(CONFIG, tpe_gamma=gamma), method,
-                                    None, max(budgets), int(start), lambda k: row[k])
+                                    None, max(budgets), int(start), measure)
             pairs.append((cells.tolist(), [k for k, _ in ref]))
         return got
 
-    monkeypatch.setattr(tracker, "track_slot", both)
     monkeypatch.setattr(tracker, "search_lanes", each_lane)
     return pairs
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return scenario_from_config(ExperimentConfig())
+    return scenario_from_config(CONFIG)
 
 
 @pytest.mark.parametrize("warm_start", [False, True])
@@ -135,8 +123,10 @@ def test_seeded_episodes_measure_identical_cells(scenario, compared_slots, metho
                                                  noisy, warm_start):
     config = dataclasses.replace(CONFIG, warm_start=warm_start, measure_with_noise=noisy)
     for epoch in range(2):
-        run_episode(scenario, config, method, (eta,), speed=1 + epoch,
-                    rng=episode_rng(20240817, epoch))
+        (got,) = run_episode(scenario, config, method, (eta,), speed=1 + epoch,
+                             rng=episode_rng(20240817, epoch))
+        assert got == replay_episode(scenario, config, method, eta, 1 + epoch,
+                                     episode_rng(20240817, epoch))
     assert len(compared_slots) == 2 * config.total_slots
     for got, ref in compared_slots:
         assert len(got) == slot_budget(method, eta, 100)

@@ -1,11 +1,13 @@
 """The lockstep lane engine against the per-slot search it stacks.
 
-`tracker.search_lanes` runs every BO search: every noise-free, cold-start
-slot of a (method, speed) as one batch, and any other BO slot as a lane of
-one inside `track_slot`.  Its reference is `oracles.replay_cell`: each slot
-replays the draws and runs `oracles.reference_track_slot`, one `gp_fit` or
-`tpe_fit` and one `select_next` per step on the public API, once per
-overhead.  Every `SlotResult` field but `elapsed` must be equal.
+`tracker.search_lanes` runs every BO search, and `tracker.search_episodes`
+draws every slot of a cell's episodes first: a cold start searches all of
+them as one batch, a warm start slot t of every episode after slot t - 1.
+Its reference is `oracles.replay_cell`: each episode, on its one stream,
+replays the draws slot by slot and runs `oracles.reference_track_slot`, one
+`gp_fit` or `tpe_fit` and one `select_next` per step on the public API and
+one noise pair per measurement, once per overhead.  Every `SlotResult`
+field but `elapsed` must be equal.
 """
 
 import dataclasses
@@ -15,10 +17,11 @@ import pytest
 
 from ristrack import surrogate, tracker
 from ristrack.bench import run_cell, scenario_from_config
+from ristrack.channel import SceneConfig
 from ristrack.codebook import GridMap
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import GpConditioningError, KernelTables, kernel_tables
-from ristrack.tracker import Method, SlotEnv, search_lanes, slot_budget, track_slot
+from ristrack.tracker import Method, SlotEnv, run_episode, search_lanes, slot_budget
 
 from oracles import reference_bo_search, reference_track_slot, replay_cell
 
@@ -64,6 +67,29 @@ def test_one_batch_across_speeds(method, monkeypatch):
         straddling = slow[20:] + fast[:6]
         assert len({r.elapsed for r in straddling}) == 1
         assert straddling[0].elapsed > 0.0
+
+
+@pytest.mark.parametrize("noisy, warm", [(True, False), (False, True), (True, True)],
+                         ids=["noise", "warm", "both"])
+@pytest.mark.parametrize("method", BO)
+def test_noisy_and_warm_start_lanes_equal_the_slot_by_slot_replay(method, noisy, warm,
+                                                                   monkeypatch):
+    """At a -50 dBm noise floor, where noise moves picks, and under warm
+    start, each overhead's episodes are drawn first and searched as lanes in
+    chunks of 10, which straddle episodes and speeds.  They give what one
+    stream per episode, searched slot by slot, gives.  Timed, the lanes of a
+    chunk share one time: under warm start, slot t of all four episodes."""
+    monkeypatch.setattr(tracker, "LANE_CAP", 10)
+    cfg = config(overheads=(0.2, 0.4), speeds=(1, 2), collect_timing=True,
+                 scene=SceneConfig(noise_power_dbm=-50.0), measure_with_noise=noisy,
+                 warm_start=warm)
+    for slow, fast in assert_lanes_equal_replay(cfg, method, (0.2, 0.4), speeds=(1, 2)):
+        if warm:
+            for t in range(12):
+                assert len({r.elapsed for r in (slow[t], slow[12 + t], fast[t], fast[12 + t])}) == 1
+        else:
+            assert len({r.elapsed for r in slow[20:] + fast[:6]}) == 1
+        assert slow[0].elapsed > 0.0
 
 
 def test_run_cell_needs_an_overhead_and_a_speed():
@@ -148,9 +174,9 @@ def indefinite_tables() -> KernelTables:
 
 
 def test_indefinite_kernel_raises_on_both_routes(monkeypatch):
-    """A non-positive pivot raises GpConditioningError in the lanes (many,
-    or a slot's lane of one) and in the per-slot reference alike, instead
-    of a NaN factor and NaN picks."""
+    """A non-positive pivot raises GpConditioningError in the lanes (given
+    directly, or a 3x3 episode's) and in the per-slot reference alike,
+    instead of a NaN factor and NaN picks."""
     power = np.arange(1.0, 10.0)
     env = SlotEnv(grid=GridMap(rows=3, cols=3), signals=np.sqrt(power) + 0j,
                   rsrp_values=power, noise_power=0.0)
@@ -158,18 +184,21 @@ def test_indefinite_kernel_raises_on_both_routes(monkeypatch):
     with pytest.raises(GpConditioningError, match="not positive definite"):
         search_lanes(np.stack([power, power[::-1]]), [0, 4], Method.GP_EI, (5,), tables, 0.25)
     monkeypatch.setattr(surrogate, "kernel_tables", lambda *args: tables)
-    for route in (track_slot, reference_track_slot):
-        with pytest.raises(GpConditioningError, match="not positive definite"):
-            route(env, config(), Method.GP_EI, 5 / 9, np.random.default_rng(0))
+    cfg = config(grid=GridMap(rows=3, cols=3))
+    with pytest.raises(GpConditioningError, match="not positive definite"):
+        run_episode(scenario_from_config(cfg), cfg, Method.GP_EI, (5 / 9,), 1,
+                    np.random.default_rng(0))
+    with pytest.raises(GpConditioningError, match="not positive definite"):
+        reference_track_slot(env, cfg, Method.GP_EI, 5 / 9, np.random.default_rng(0))
 
 
-def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop(monkeypatch):
+def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop():
     """A variance <= 0 scores expected improvement's sigma = 0 limit, each
     entry on its own, so a lane with one scores as it would alone.  Cells 0
     and 1 correlate by 2 here: after a first measurement at 0 or 1 the other
     one's variance is negative (clamped to 0 by gp_posterior), while lanes
-    starting elsewhere keep every variance positive.  Each lane, and each
-    slot's lane of one, picks as the per-slot reference does."""
+    starting elsewhere keep every variance positive.  Each lane, among many
+    or alone, picks as the per-slot reference does."""
     tables = kernel_tables(3, 3)
     corr = tables.corr.copy()
     corr[0, 1] = corr[1, 0] = 2.0
@@ -179,14 +208,12 @@ def test_lanes_with_a_clamped_variance_score_as_the_per_slot_loop(monkeypatch):
                   rsrp_values=power, noise_power=0.0)
     first = [0, 5, 1, 8]
     found = search_lanes(np.stack([power] * len(first)), first, Method.GP_EI, (2,), tables, 0.25)
-    monkeypatch.setattr(surrogate, "kernel_tables", lambda *args: tables)
     cfg = config()
     for lane, start in enumerate(first):
         ref = reference_bo_search(env, cfg, Method.GP_EI, 2, np.random.default_rng(0), start)
-        alone = track_slot(env, cfg, Method.GP_EI, 2 / 9, np.random.default_rng(0),
-                           warm_index=start)
-        assert found.cells[lane].tolist() == [k for k, _ in ref]
-        assert found.chosen[0, lane] == alone.chosen_index == max(ref, key=lambda kv: kv[1])[0]
+        alone = search_lanes(power[None], [start], Method.GP_EI, (2,), tables, 0.25)
+        assert found.cells[lane].tolist() == alone.cells[0].tolist() == [k for k, _ in ref]
+        assert found.chosen[0, lane] == alone.chosen[0, 0] == max(ref, key=lambda kv: kv[1])[0]
 
 
 def test_lane_inputs_are_checked():

@@ -4,6 +4,9 @@ determinism.
 """
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,7 +37,7 @@ from ristrack.tracker import (
     track_slot,
 )
 
-from oracles import cell_center, reference_track_slot, rsrp
+from oracles import cell_center, reference_track_slot, replay_episode, rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -125,6 +128,14 @@ def _walk(cell, grid, rng, steps):
     return out
 
 
+def one_slot(scenario, config, method, eta, rng):
+    """The one slot of a one-slot episode, by its method's route: `track_slot`
+    for the sweep and random search, a lane of `search_episodes` for BO."""
+    ((result,),) = run_episode(scenario, dataclasses.replace(config, total_slots=1), method,
+                               (eta,), 1, rng)
+    return result
+
+
 class TestTrackSlot:
     def test_ergodic_is_exact(self, slot_env):
         r = track_slot(slot_env, CONFIG, Method.ERGODIC, 1.0, np.random.default_rng(0))
@@ -133,17 +144,17 @@ class TestTrackSlot:
         assert r.measurements_used == 100
 
     @pytest.mark.parametrize("method", [Method.RANDOM, Method.GP_EI, Method.TPE_EI])
-    def test_full_budget_is_exhaustive(self, slot_env, method):
-        r = track_slot(slot_env, CONFIG, method, 1.0, np.random.default_rng(1))
+    def test_full_budget_is_exhaustive(self, scenario, method):
+        r = one_slot(scenario, CONFIG, method, 1.0, np.random.default_rng(1))
         assert r.measurements_used == 100
         assert r.chosen_index == r.true_best_index
         assert r.achieved_rsrp == r.true_best_rsrp
 
     @pytest.mark.parametrize("method", [Method.RANDOM, Method.GP_EI, Method.TPE_EI])
     @pytest.mark.parametrize("eta", [0.2, 0.6])
-    def test_budget_and_bounds(self, slot_env, method, eta):
+    def test_budget_and_bounds(self, scenario, method, eta):
         timed = ExperimentConfig(collect_timing=True)
-        r = track_slot(slot_env, timed, method, eta, np.random.default_rng(7))
+        r = one_slot(scenario, timed, method, eta, np.random.default_rng(7))
         assert r.measurements_used == round(eta * 100)
         assert r.achieved_rsrp <= r.true_best_rsrp
         assert r.elapsed >= 0.0
@@ -161,54 +172,63 @@ class TestTrackSlot:
         sigma = np.sqrt(eta * (1 - eta) / n)
         assert abs(hits / n - eta) <= 3 * sigma
 
-    def test_bo_methods_use_exact_budget(self, slot_env):
+    def test_bo_methods_use_exact_budget(self, scenario):
         # distinctness is structural: the history raises on duplicates
         for method in (Method.GP_EI, Method.TPE_EI):
-            r = track_slot(slot_env, CONFIG, method, 0.3, np.random.default_rng(13))
+            r = one_slot(scenario, CONFIG, method, 0.3, np.random.default_rng(13))
             assert r.measurements_used == 30
 
-    @pytest.mark.parametrize("warm_index", [-1, 100])
-    def test_rejects_warm_index_outside_the_grid(self, slot_env, warm_index):
-        """Rejected by name before anything is measured: numpy would read -1
-        from the other end and fail on 100 with a bare IndexError."""
-        with pytest.raises(ValueError, match=f"^warm_index {warm_index} is outside"):
-            track_slot(slot_env, CONFIG, Method.GP_EI, 0.2, np.random.default_rng(19),
-                       warm_index=warm_index)
+    @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+    def test_bo_slots_are_not_searched_one_by_one(self, slot_env, method):
+        with pytest.raises(ValueError, match="search_episodes"):
+            track_slot(slot_env, CONFIG, method, 0.2, np.random.default_rng(19))
 
-    def test_noisy_measurement_mode_runs(self, slot_env):
+    def test_noisy_measurement_mode_runs(self, scenario):
         cfg = dataclasses.replace(CONFIG, measure_with_noise=True)
-        r = track_slot(slot_env, cfg, Method.TPE_EI, 0.2, np.random.default_rng(17))
+        r = one_slot(scenario, cfg, Method.TPE_EI, 0.2, np.random.default_rng(17))
         # achieved/true are still the noiseless comparison quantities
         assert r.achieved_rsrp <= r.true_best_rsrp
 
     @settings(max_examples=80, deadline=None)
     @given(rows=st.integers(1, 6), cols=st.integers(1, 6), method=st.sampled_from(list(Method)),
            eta=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1),
-           noisy=st.booleans(), warm=st.booleans())
-    def test_search_invariants_on_any_grid(self, rows, cols, method, eta, seed, noisy, warm):
+           noisy=st.booleans())
+    def test_search_invariants_on_any_grid(self, rows, cols, method, eta, seed, noisy):
         """Any grid shape, 1x1 and non-square included: no cell is measured
         twice, the budget is used exactly, the achieved power is never above
-        the true best.  The noise is as strong as the signal."""
+        the true best.  The noise is as strong as the signal.  The sweep and
+        random search run in `track_slot`, a BO slot as a lane of the lane
+        engine, with its noise drawn first as `search_episodes` draws it."""
         rng = np.random.default_rng(seed)
         num_cells = rows * cols
         signals = rng.normal(size=num_cells) + 1j * rng.normal(size=num_cells)
         env = SlotEnv(grid=GridMap(rows=rows, cols=cols), signals=signals,
                       rsrp_values=np.abs(signals) ** 2, noise_power=1.0)
-        cfg = dataclasses.replace(CONFIG, measure_with_noise=noisy)
-        warm_index = int(rng.integers(num_cells)) if warm else None
-        measured = []
-        measure = tracker.measure
+        budget = slot_budget(method, eta, num_cells)
+        if method in tracker.BO_METHODS:
+            first = [int(rng.integers(num_cells))]
+            noise = (rng.normal(0.0, np.sqrt(0.5), (1, budget, 2)).view(complex)[..., 0]
+                     if noisy else None)
+            found = search_lanes(env.rsrp_values[None], first, method, (budget,),
+                                 tracker.surrogate.kernel_tables(rows, cols), CONFIG.tpe_gamma,
+                                 signals=env.signals[None], noise=noise)
+            measured, chosen = found.cells[0].tolist(), int(found.chosen[0, 0])
+            used, achieved = budget, env.rsrp_values[chosen]
+        else:
+            cfg = dataclasses.replace(CONFIG, measure_with_noise=noisy)
+            measured = []
+            measure = tracker.measure
 
-        def recording(env, cells, noise_rng=None):
-            measured.extend(np.atleast_1d(cells).tolist())
-            return measure(env, cells, noise_rng)
+            def recording(env, cells, noise_rng=None):
+                measured.extend(np.atleast_1d(cells).tolist())
+                return measure(env, cells, noise_rng)
 
-        with mock.patch.object(tracker, "measure", recording):
-            r = track_slot(env, cfg, method, eta, rng, warm_index=warm_index)
-        assert (len(set(measured)) == len(measured) == r.measurements_used
-                == slot_budget(method, eta, num_cells))
-        assert r.chosen_index in measured
-        assert r.achieved_rsrp <= r.true_best_rsrp
+            with mock.patch.object(tracker, "measure", recording):
+                r = track_slot(env, cfg, method, eta, rng)
+            chosen, used, achieved = r.chosen_index, r.measurements_used, r.achieved_rsrp
+        assert len(set(measured)) == len(measured) == used == budget
+        assert chosen in measured
+        assert achieved <= env.rsrp_values.max()
 
     def test_budget_rounding(self):
         assert slot_budget(Method.RANDOM, 0.2, 100) == 20
@@ -298,10 +318,11 @@ class TestTieBreak:
 
 @pytest.mark.parametrize("noise_dbm", [-120.0, -50.0])
 @pytest.mark.parametrize("rows, cols", [(10, 10), (1, 7), (1, 1)])
-def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, monkeypatch):
-    """Seeded noisy episodes of every method give the same slot results
-    through the block measurement, and a BO slot through a lane of one, as
-    through the per-call loop on the public API."""
+def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm):
+    """Seeded noisy episodes of every method, cold and warm-started, give
+    the same slot results through the block measurement and, for BO, through
+    noise drawn first and searched as lanes, as the one-stream, slot-by-slot
+    replay that measures one cell per call on the public API."""
     config = ExperimentConfig(grid=GridMap(rows=rows, cols=cols),
                               scene=SceneConfig(noise_power_dbm=noise_dbm),
                               measure_with_noise=True, collect_timing=False)
@@ -310,10 +331,8 @@ def test_block_measurement_equals_the_per_call_reference(rows, cols, noise_dbm, 
         for eta, warm in ((0.2, False), (0.6, True)):
             cfg = dataclasses.replace(config, warm_start=warm)
             for epoch in range(3):
-                with monkeypatch.context() as m:
-                    m.setattr(tracker, "track_slot", reference_track_slot)
-                    (ref,) = run_episode(scenario, cfg, method, (eta,), 1 + epoch % 2,
-                                         episode_rng(803, epoch))
+                ref = replay_episode(scenario, cfg, method, eta, 1 + epoch % 2,
+                                     episode_rng(803, epoch))
                 (got,) = run_episode(scenario, cfg, method, (eta,), 1 + epoch % 2,
                                      episode_rng(803, epoch))
                 assert got == ref
@@ -386,6 +405,15 @@ class TestSlotTable:
         assert len(calls) == len(set(calls)) == len(built) >= 3
         assert sorted(calls) == sorted(map(tuple, scenario.centers[built]))
 
+    @pytest.mark.parametrize("cell", [-1, 100])
+    def test_fill_rejects_cells_off_the_grid(self, cell):
+        """By name, with no row built: numpy would build cell 99's row for -1
+        and fail on 100 with a bare IndexError."""
+        scenario = scenario_from_config(ExperimentConfig())
+        with pytest.raises(ValueError, match=f"^cell index {cell} out of range"):
+            scenario.fill([cell])
+        assert (scenario.true_best == -1).all()
+
     def test_rows_handed_out_are_read_only(self, scenario):
         env = build_slot_env(scenario, 3)
         for array in (env.signals, env.rsrp_values, scenario.signals, scenario.rsrp):
@@ -443,11 +471,12 @@ class TestRunEpisode:
 
     @pytest.mark.parametrize("method, setting", [(Method.ERGODIC, None),
                                                  (Method.RANDOM, "measure_with_noise"),
-                                                 (Method.TPE_EI, "warm_start")])
+                                                 (Method.ERGODIC, "measure_with_noise")])
     def test_timed_slot_by_slot_episode_shares_its_mean_time(self, scenario, method, setting,
                                                             monkeypatch):
-        """Every slot of a timed slot-by-slot episode reports one float
-        object: the mean of its slots' search times."""
+        """Every slot of a timed slot-by-slot episode (the sweep and random
+        search) reports one float object: the mean of its slots' search
+        times."""
         config = ExperimentConfig(collect_timing=True)
         if setting:
             config = dataclasses.replace(config, **{setting: True})
@@ -469,14 +498,13 @@ class TestRunEpisode:
     def test_one_call_per_slot_and_per_step(self, method, monkeypatch):
         """Per slot one mobility_step, and one ris_ue_channel per cell the
         episode visits first: a fresh scenario builds each cell's row once.
-        A warm-start episode searches slot by slot: one build_slot_env and
-        track_slot per slot, each a search of one lane with budget - 1
-        lane-steps, and on the GP path one expected_improvement per step.
-        A noise-free, cold-start episode searches its slots as lanes, with no
-        build_slot_env or track_slot call: its lane-steps are slots x
-        (largest budget - 1), and GP-EI scores all lanes with one
-        expected_improvement call per step.  Neither makes a surrogate fit or
-        a select_next call."""
+        No BO episode makes a build_slot_env or track_slot call.  A
+        warm-start episode searches slot after slot, each a search of one
+        lane with budget - 1 lane-steps, and on the GP path one
+        expected_improvement per step.  A cold-start episode searches all
+        its slots as lanes: its lane-steps are slots x (largest budget - 1),
+        and GP-EI scores all lanes with one expected_improvement call per
+        step.  Neither makes a surrogate fit or a select_next call."""
         counts = {}
         visited = set()
 
@@ -524,7 +552,6 @@ class TestRunEpisode:
         warm = dataclasses.replace(CONFIG, total_slots=3, warm_start=True)
         want = run(warm, (0.2,))
         steps = slot_budget(method, 0.2, 100) - 1
-        want.update(build_slot_env=3, track_slot=3)
         if method == Method.GP_EI:
             want["expected_improvement"] = 3 * steps
         assert counts == want and lane_steps == [steps] * 3
@@ -551,10 +578,10 @@ class TestSharedBudgets:
         first = [int(np.random.default_rng(43).integers(100))]
         found = search_lanes(slot_env.rsrp_values[None], first, method, budgets, tables,
                              CONFIG.tpe_gamma, tracker.time.perf_counter)
-        assert found.used.tolist() == [60, 1, 20, 1]
-        for eta, chosen, used in zip(etas, found.chosen[:, 0], found.used):
+        assert found.cells.shape == (1, 60)
+        for eta, chosen, budget in zip(etas, found.chosen[:, 0], budgets):
             alone = reference_track_slot(slot_env, CONFIG, method, eta, np.random.default_rng(43))
-            assert (chosen, used) == (alone.chosen_index, alone.measurements_used)
+            assert (chosen, budget) == (alone.chosen_index, alone.measurements_used)
         elapsed = dict(zip(budgets, found.elapsed[:, 0]))
         assert 0.0 <= elapsed[1] <= elapsed[20] <= elapsed[60]
 
@@ -579,3 +606,21 @@ class TestSharedBudgets:
                          tracker.surrogate.kernel_tables(10, 10), CONFIG.tpe_gamma)
         with pytest.raises(ValueError, match="etas"):
             run_episode(scenario, CONFIG, Method.GP_EI, (), 1, np.random.default_rng(0))
+
+
+def test_a_failing_property_test_fails_without_an_internal_error(tmp_path):
+    """A failing @given test under this project's pytest settings is one
+    failure, exit status 1: hypothesis's report of the failing example must
+    not turn into an INTERNALERROR that ends the session."""
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(Path(__file__).parents[1] / "pyproject.toml"),
+                           "--rootdir", str(tmp_path), "test_property.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout
