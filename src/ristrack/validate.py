@@ -2,8 +2,9 @@
 
 Each check recomputes a quantity along a second, slower route (exhaustive
 enumeration, dense linear solve, numerical quadrature) and compares it with
-the production path; the tests import the same three oracles.  Returns
-the list of failed check names.
+the production path; the tests import the same three oracles.  One more
+check compares the quantizer's batch path with its own one-row path.
+`run_all` returns the list of failed check names.
 """
 
 from __future__ import annotations
@@ -77,6 +78,29 @@ def check_quantizer_exhaustive(num_geometries: int = 10, seed: int = 7,
     return True
 
 
+def check_quantizer_batch_vs_rows(num_rows: int = 30, seed: int = 17) -> bool:
+    """A seeded (K, N) stack must quantize as each of its rows does alone, at
+    1, 2 and 3 bits, with and without weights.  A third of the rows are
+    lattice phases (every phase a level or a breakpoint) and a third are
+    those moved by 1e-15: the rows of a stack share one span and one flat
+    offset index, which a row alone never crosses."""
+    rng = np.random.default_rng(seed)
+    for bits in (1, 2, 3):
+        n = int(rng.integers(2, 40))
+        stack = rng.uniform(0.0, 2.0 * np.pi, size=(num_rows, n))
+        lattice = rng.integers(0, 2 ** (bits + 1), size=stack.shape) * (np.pi / 2 ** bits)
+        stack[::3] = lattice[::3]
+        stack[1::3] = lattice[1::3] + rng.choice([-1e-15, 1e-15], size=stack[1::3].shape)
+        for weights in (None, rng.uniform(0.2, 1.0, size=stack.shape)):
+            batch = quantize_codeword(stack, bits=bits, weights=weights)
+            for k, row in enumerate(stack):
+                alone = quantize_codeword(row, bits=bits,
+                                          weights=None if weights is None else weights[k])
+                if not np.array_equal(batch[k], alone):
+                    return False
+    return True
+
+
 def check_gp_dense_solve(num_instances: int = 20, seed: int = 11,
                          tol: float = 1e-8) -> bool:
     """Incremental-factor posterior must match a dense np.linalg.solve oracle,
@@ -121,6 +145,7 @@ def check_ei_quadrature(num_triples: int = 100, seed: int = 13,
 CHECKS = [
     *((f"quantizer-vs-exhaustive-{b}bit", functools.partial(check_quantizer_exhaustive, bits=b))
       for b in (1, 2, 3)),
+    ("quantizer-batch-vs-rows", check_quantizer_batch_vs_rows),
     ("gp-vs-dense-solve", check_gp_dense_solve),
     ("ei-vs-quadrature", check_ei_quadrature),
 ]

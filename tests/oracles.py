@@ -1,7 +1,8 @@
 """Reference routes only the tests compare the production code against.
 
 Each computes one quantity directly from its definition, with no caching,
-tables or batching; `reference_track_slot` runs one slot's search on the
+tables or batching: `reference_quantize_codeword` scores every offset of
+one codeword in full, `reference_track_slot` runs one slot's search on the
 public surrogate and acquisition API, one measurement call at a time, and
 `replay_episode` and `replay_cell` run it slot by slot on one stream: the
 per-slot search that `tracker.search_episodes` draws first and stacks as
@@ -15,7 +16,7 @@ from scipy.spatial.distance import cdist
 from ristrack import acquisition, surrogate, tracker
 from ristrack.bench import episode_rng
 from ristrack.channel import Vec3, lin_to_db
-from ristrack.codebook import GridMap
+from ristrack.codebook import TWO_PI, GridMap
 
 
 def cell_center(grid: GridMap, k: int) -> Vec3:
@@ -53,6 +54,33 @@ def coherent_bound(h: np.ndarray, H: np.ndarray, z: np.ndarray) -> float:
     h = np.asarray(h, dtype=complex)
     forward = np.asarray(H, dtype=complex) @ np.asarray(z, dtype=complex)
     return float(np.sum(np.abs(h) * np.abs(forward))) ** 2
+
+
+def reference_quantize_codeword(continuous_phases, bits=2, weights=None) -> np.ndarray:
+    """One codeword by the full score table the incremental sweep replaced:
+    every element rounded at each of the at most N+1 offsets (the unique
+    midpoints between sorted rounding breakpoints), each offset's coherent
+    sum as one contiguous pairwise sum of its gathered terms, then np.hypot,
+    and the first best offset wins.  The reference for every row of
+    `codebook.quantize_codeword`."""
+    phases = np.asarray(continuous_phases, dtype=float) % TWO_PI
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    levels = 2 ** bits
+    step = TWO_PI / levels
+    breaks = np.unique((step / 2.0 - phases) % step)
+    edges = np.concatenate(([0.0], breaks, [step]))
+    rho = np.unique((edges[:-1] + edges[1:]) / 2.0)
+    raw = np.floor((phases + rho[:, None]) / step + 0.5).astype(np.intp)
+    base = raw[0].copy()
+    offsets = raw - base
+    span = int(offsets[-1].max(initial=0))
+    used = (base + np.arange(span + 1)[:, None]) & (levels - 1)
+    misfit = np.exp(1j * (used * step - phases))
+    if w is not None:
+        misfit = w * misfit
+    total = misfit.take(offsets * phases.size + np.arange(phases.size)).sum(axis=1)
+    best = int(np.argmax(np.hypot(total.real, total.imag)))
+    return (base + offsets[best]) & (levels - 1)
 
 
 def parzen_density(points: np.ndarray, at: np.ndarray, bandwidth: float) -> np.ndarray:

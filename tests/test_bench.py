@@ -466,6 +466,17 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="sweep_resolution"):
             parse_config_text("sweep_resolution = fine\n")
 
+    @pytest.mark.parametrize("bits", ["0", "31", "53", "63", "64"])
+    def test_phase_bits_outside_one_to_thirty_is_rejected_by_name(self, bits):
+        with pytest.raises(ValueError, match=f"^phase_bits must be in \\[1, 30\\], got {bits}$"):
+            parse_config_text(f"phase_bits = {bits}\n")
+
+    def test_thirty_phase_bits_build_a_codebook(self):
+        config = parse_config_text("phase_bits = 30\ngrid_rows = 2\ngrid_cols = 2\n")
+        codebook = scenario_from_config(config).codebook
+        assert codebook.phase_bits == 30 and 0 <= codebook.indices.min()
+        assert codebook.indices.max() < 2 ** 30
+
     def test_template_lists_every_key(self):
         keys = [line.lstrip("# ").split(" =")[0] for line in DEFAULT_CONFIG_TEXT.splitlines()
                 if " = " in line or line.endswith(" =")]

@@ -103,7 +103,8 @@ def test_trace_is_the_matrix_episode(method, tmp_path):
 def test_validate_command(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5 and "FAIL" not in out
+    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert "PASS quantizer-batch-vs-rows" in out
 
 
 def _fresh_python(code: str) -> str:

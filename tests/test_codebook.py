@@ -1,15 +1,18 @@
 """Codebook tests: ideal phases against scalar recomputation, the quantizer
-against exhaustive 4^N search and against the offset-grid sweep it replaced,
-pinned codebooks, and the full-grid cross-matrix.
+against exhaustive 4^N search, against the offset-grid sweep and the full
+score table it replaced, row by row and as a stack, pinned codebooks, the
+build's one quantizer call and its memory, and the full-grid cross-matrix.
 """
 
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ristrack import codebook as codebook_module
 from ristrack.channel import (
     DegenerateGeometryError,
     SceneConfig,
@@ -31,7 +34,7 @@ from ristrack.config import ExperimentConfig
 from ristrack.tracker import Method, TrackingScenario, build_slot_env, track_slot
 from ristrack.validate import best_by_enumeration
 
-from oracles import cell_center, coherent_bound, rsrp
+from oracles import cell_center, coherent_bound, reference_quantize_codeword, rsrp
 
 CONFIG = ExperimentConfig(collect_timing=False)
 
@@ -99,6 +102,27 @@ CODEBOOK_SHA256 = {
     (8, 10): "0631a0faa0bd27579c51221640adc5b07c8eb812ced0220fb5a97c3a550720b0",
     (8, 16): "27911622ce184187cb24556061eb64bffb18dc2350e64c3c6a992d4dd126b776",
 }
+
+
+def hard_phases(rng, bits: int, n: int) -> np.ndarray:
+    """n phases of one of the kinds where rounding or ties are delicate:
+    uniform, every phase a level or a breakpoint (an odd multiple of half a
+    level), those moved by +-1e-15 or by one ulp, repeated phases, or phases
+    spread evenly around the circle, where many offsets tie."""
+    half_step = math.pi / 2 ** bits
+    lattice = rng.integers(0, 2 ** (bits + 1), n) * half_step
+    kind = int(rng.integers(6))
+    if kind == 0:
+        return rng.uniform(0.0, 2 * math.pi, n)
+    if kind == 1:
+        return lattice
+    if kind == 2:
+        return lattice + rng.choice([-1e-15, 0.0, 1e-15], n)
+    if kind == 3:
+        return np.nextafter(lattice, rng.choice([-np.inf, np.inf], n))
+    if kind == 4:
+        return np.repeat(rng.uniform(0.0, 2 * math.pi, n // 2 + 1), 2)[:n]
+    return 2 * math.pi * np.arange(n) / n
 
 
 def codebook_sha256(codebook: Codebook) -> str:
@@ -283,6 +307,80 @@ class TestQuantizeCodeword:
                     assert got == reference_quantize(phases, bits, resolution, weights), \
                         (bits, resolution, phases.tolist())
 
+    @pytest.mark.parametrize("bits", range(1, 15))
+    def test_every_row_equals_the_score_table(self, bits):
+        """Random, lattice, breakpoint, near-breakpoint, duplicate and evenly
+        spread phases, N = 1 to 60, with and without weights: each codeword
+        is the full score table's, ulp-decided ties included."""
+        rng = np.random.default_rng(100 + bits)
+        for _ in range(150):
+            phases = hard_phases(rng, bits, int(rng.integers(1, 61)))
+            weights = rng.uniform(0.1, 1.0, phases.size) if rng.random() < 0.3 else None
+            got = quantize_codeword(phases, bits=bits, weights=weights)
+            assert got.tolist() == reference_quantize_codeword(phases, bits, weights).tolist(), \
+                (bits, phases.tolist())
+
+    @pytest.mark.parametrize("bits, lattice, shift", [
+        (5, [6, 4, 18, 25, 54, 55, 53, 24, 20, 43],
+         [9.992007221626409e-16, 9.992007221626409e-16, 1.1102230246251565e-15, 0.0, 0.0,
+          -8.881784197001252e-16, 0.0, -8.881784197001252e-16, -1.1102230246251565e-15, 0.0]),
+        (11, [1097, 3713, 3572, 3051, 3385, 61, 464],
+         [1.1102230246251565e-15, -8.881784197001252e-16, 0.0, 8.881784197001252e-16, 0.0,
+          0.0, -9.992007221626409e-16]),
+        (13, [4077, 4096, 727, 16156], [0.0, -1.1102230246251565e-15, 0.0, 0.0]),
+    ])
+    def test_an_element_that_steps_twice_along_the_sweep(self, bits, lattice, shift):
+        """Half-level multiples moved by about an ulp: the sweep's first
+        offset is 0 and its last rounds up to a whole level, so one element's
+        level steps twice along it, and a sweep that took one step per element
+        would pick another codeword."""
+        phases = np.array(lattice) * (math.pi / 2 ** bits) + np.array(shift)
+        want = reference_quantize_codeword(phases, bits).tolist()
+        assert quantize_codeword(phases, bits=bits).tolist() == want
+        assert quantize_codeword(np.stack([phases, phases[::-1]]), bits=bits)[0].tolist() == want
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 6, 14])
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_stack_equals_each_row_alone(self, bits, n):
+        """A (K, N) stack, its rows of every kind, quantizes as each row does
+        alone and as the score table does, with weights shaped like it."""
+        rng = np.random.default_rng(bits * 100 + n)
+        stack = np.stack([hard_phases(rng, bits, n) for _ in range(40)])
+        weights = rng.uniform(0.1, 1.0, stack.shape)
+        for w in (None, weights):
+            got = quantize_codeword(stack, bits=bits, weights=w)
+            assert got.shape == stack.shape
+            for k, row in enumerate(stack):
+                wk = None if w is None else w[k]
+                alone = quantize_codeword(row, bits=bits, weights=wk)
+                assert got[k].tolist() == alone.tolist() == \
+                    reference_quantize_codeword(row, bits, wk).tolist(), (bits, k, row.tolist())
+
+    def test_empty_rows_give_empty_codewords(self):
+        assert quantize_codeword([]).shape == (0,)
+        assert quantize_codeword(np.zeros((3, 0))).shape == (3, 0)
+        assert quantize_codeword(np.zeros((0, 5))).shape == (0, 5)
+
+    @pytest.mark.parametrize("phases, weights", [
+        ([0.3, math.nan], None),
+        ([math.inf, 1.0], None),
+        ([[0.3, 1.0], [-math.inf, 2.0]], None),
+        ([0.3, 1.0], [math.nan, 1.0]),
+        ([0.3, 1.0], [1.0, math.inf]),
+    ])
+    def test_non_finite_input_raises(self, phases, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            quantize_codeword(phases, weights=weights)
+
+    @pytest.mark.parametrize("phases, weights", [
+        (np.zeros((2, 2, 2)), None),
+        (np.zeros((2, 3)), np.ones(3)),
+        (np.zeros(3), np.ones(2)),
+    ])
+    def test_bad_shapes_raise(self, phases, weights):
+        with pytest.raises(ValueError):
+            quantize_codeword(phases, weights=weights)
+
     def test_one_bit_codewords(self):
         phases = np.array([0.0, math.pi])
         cw = quantize_codeword(phases, bits=1)
@@ -310,6 +408,32 @@ class TestCodebook:
         for (bits, side), expected in CODEBOOK_SHA256.items():
             ris = dataclasses.replace(panel, rows=side, cols=side, phase_bits=bits)
             assert codebook_sha256(build_codebook(scene, ris, grid)) == expected, (bits, side)
+
+    def test_build_makes_one_quantizer_call(self, table1, table1_codebook, monkeypatch):
+        scene, ris, grid = table1
+        calls = []
+
+        def counted(phases, *args, **kwargs):
+            calls.append(np.shape(phases))
+            return quantize_codeword(phases, *args, **kwargs)
+
+        monkeypatch.setattr(codebook_module, "quantize_codeword", counted)
+        again = build_codebook(scene, ris, grid)
+        assert calls == [(grid.num_cells, ris.num_elements)]
+        np.testing.assert_array_equal(again.indices, table1_codebook.indices)
+
+    def test_default_build_peaks_under_one_megabyte(self, table1):
+        """The quantizer works on (cells, N) arrays, never a (cells, rows, N)
+        table: a (100, 101, 100) complex table alone would be 16 MB."""
+        scene, ris, grid = table1
+        build_codebook(scene, ris, grid)
+        tracemalloc.start()
+        try:
+            build_codebook(scene, ris, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_build_is_deterministic(self, table1, table1_codebook):
         scene, ris, grid = table1
