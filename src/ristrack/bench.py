@@ -13,8 +13,7 @@ import numpy as np
 from .channel import lin_to_db
 from .codebook import GridMap, build_codebook
 from .config import ExperimentConfig
-from .tracker import (BO_METHODS, Method, SlotResult, TrackingScenario, run_episode,
-                      search_episodes, shares_search)
+from .tracker import Method, SlotResult, TrackingScenario, search_episodes, shares_search
 
 ACCURACY_REL_TOL = 1e-9  # tie handling when comparing achieved vs. best power
 CSV_HEADER = "method,overhead,speed,accuracy,rsrp_mae_db,exec_time_s"
@@ -76,12 +75,11 @@ def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Metho
              etas: tuple[float, ...], speeds: tuple[int, ...]) -> list[list[list[SlotResult]]]:
     """All slot results for one table cell per eta in `etas` and speed in
     `speeds`, `[eta][speed]`: `epochs` independent episodes each (see
-    `tracker.run_episode`).
+    `tracker.search_episodes`).
 
     Overheads that share a search (`tracker.shares_search`) are one group,
-    any other overhead a group of its own.  A BO group searches every
-    episode at every speed with one `tracker.search_episodes` call; the
-    sweep and random search run each episode slot by slot.
+    any other overhead a group of its own.  A group runs every episode at
+    every speed with one `tracker.search_episodes` call, for every method.
     """
     if not etas:
         raise ValueError("etas is empty: a cell needs at least one overhead")
@@ -93,13 +91,8 @@ def run_cell(scenario: TrackingScenario, config: ExperimentConfig, method: Metho
     for group in groups:
         episodes = [(speed, episode_rng(config.master_seed, epoch))
                     for speed in speeds for epoch in range(config.epochs)]
-        if method in BO_METHODS:
-            found = search_episodes(scenario, config, method, group, episodes)
-        else:
-            found = [[r for speed, rng in episodes
-                      for r in run_episode(scenario, config, method, group, speed, rng)[0]]]
         cells += [[results[lo:lo + per_speed] for lo in range(0, len(results), per_speed)]
-                  for results in found]
+                  for results in search_episodes(scenario, config, method, group, episodes)]
     return cells
 
 
@@ -113,7 +106,7 @@ def run_matrix(config: ExperimentConfig) -> dict[tuple[Method, float, int], list
         for eta, by_speed in zip(etas, run_cell(scenario, config, method, etas, config.speeds)):
             for speed, results in zip(config.speeds, by_speed):
                 matrix[(method, eta, speed)] = results
-    return {cell: matrix[cell] for cell in experiment_cells(config)}
+    return matrix
 
 
 def rows_from_matrix(config: ExperimentConfig,

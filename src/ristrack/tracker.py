@@ -426,42 +426,58 @@ def _start_cell(grid: GridMap, rng: np.random.Generator) -> int:
     return grid.index_of(int(rng.integers(grid.rows)), int(rng.integers(grid.cols)))
 
 
-def _check_etas(config: ExperimentConfig, method: Method, etas: tuple[float, ...]) -> None:
+def search_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
+                    etas: tuple[float, ...],
+                    episodes: list[tuple[int, np.random.Generator]]) -> list[list[SlotResult]]:
+    """One result list per eta of episodes, `(speed, rng)` pairs: every slot
+    of the first episode, then of the next.  Several etas share one search
+    per slot, so they need `shares_search`.
+
+    Per episode, the draws come in the order of a slot-by-slot episode: the
+    start cell, then per slot the walk and the slot's own draws.  A sweep or
+    random slot is searched as it is drawn, by `track_slot`: the measured
+    set in one `rng.choice`, then with noise one normal call of shape
+    (budget, 2).  With timing on, every slot of such an episode reports the
+    episode's mean search time.  A BO slot draws its first measured cell
+    (under warm start, in slot 1 only) and, with noise, the same normal
+    call, the stream of one (real, imaginary) pair per measurement.  Then
+    each BO slot is a lane of `search_lanes`: every slot at once from a
+    cold start; under warm start, slot t of every episode after slot t - 1,
+    starting at its pick.
+    """
     if not etas:
         raise ValueError("etas is empty: an episode needs at least one overhead")
     if len(etas) > 1 and not shares_search(config, method):
         raise ValueError("only noise-free, cold-start BO episodes share one search per slot")
-
-
-def search_episodes(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
-                    etas: tuple[float, ...],
-                    episodes: list[tuple[int, np.random.Generator]]) -> list[list[SlotResult]]:
-    """One result list per eta of BO episodes, `(speed, rng)` pairs: every
-    slot of the first episode, then of the next.
-
-    Every draw comes first, per episode in the order of a slot-by-slot
-    episode: the start cell, then per slot the walk, the first measured cell
-    (under warm start, in slot 1 only) and, with noise, the slot's noise in
-    one normal call of shape (budget, 2), the stream of one (real,
-    imaginary) pair per measurement.  Then each slot is a lane of
-    `search_lanes`: every slot at once from a cold start; under warm start,
-    slot t of every episode after slot t - 1, starting at its pick.
-    Several etas share one search per slot, so they need `shares_search`.
-    """
-    _check_etas(config, method, etas)
+    bo = method in BO_METHODS
     grid = scenario.grid
     budgets = tuple(slot_budget(method, eta, grid.num_cells) for eta in etas)
     sigma = float(np.sqrt(scenario.noise_power / 2.0))
-    cells, first, noise = [], [], []
+    cells, first, noise, swept = [], [], [], []
     for speed, rng in episodes:
         cell = _start_cell(grid, rng)
+        episode = []
         for t in range(config.total_slots):
             cell = mobility_step(cell, speed, grid, rng)
+            if not bo:
+                episode.append(track_slot(build_slot_env(scenario, cell), config, method,
+                                          etas[0], rng, slot_index=t + 1))
+                continue
             cells.append(cell)
             if t == 0 or not config.warm_start:
                 first.append(int(rng.integers(grid.num_cells)))
             if config.measure_with_noise:
                 noise.append(rng.normal(0.0, sigma, size=(budgets[0], 2)))
+        if episode and config.collect_timing:
+            # One float object for every slot of the episode, as a chunk's
+            # lanes share one below: 8 bytes per slot in a list that keeps them.
+            mean = sum(r.elapsed for r in episode) / len(episode)
+            episode = [SlotResult(r.slot_index, r.true_best_index, r.chosen_index,
+                                  r.true_best_rsrp, r.achieved_rsrp, r.measurements_used, mean)
+                       for r in episode]
+        swept += episode
+    if not bo:
+        return [swept]
     scenario.fill(cells)
     rsrp = scenario.rsrp[cells]
     signals, noise = ((scenario.signals[cells], np.array(noise).view(complex)[..., 0])
@@ -496,31 +512,10 @@ def search_episodes(scenario: TrackingScenario, config: ExperimentConfig, method
 def run_episode(scenario: TrackingScenario, config: ExperimentConfig, method: Method,
                 etas: tuple[float, ...], speed: int,
                 rng: np.random.Generator) -> list[list[SlotResult]]:
-    """One tracking episode per eta in `etas`: `total_slots` slots of mobility
-    plus per-slot beam search, the UE starting in a uniformly random cell and
-    walking at random, reflected at the grid's edge.
-
-    A BO episode is drawn first and searched as lanes (`search_episodes`);
-    several etas share one search per slot, so they need
-    `shares_search(config, method)`.  With warm_start the previous slot's
-    chosen entry replaces the random initial measurement.  The sweep and
-    random search run slot by slot, and with timing on every slot reports
-    the episode's mean search time.
+    """One tracking episode per eta in `etas` (`search_episodes` of one
+    episode): `total_slots` slots of mobility plus per-slot beam search, the
+    UE starting in a uniformly random cell and walking at random, reflected
+    at the grid's edge.  With warm_start a BO slot's search starts at the
+    previous slot's chosen entry in place of a random first measurement.
     """
-    if method in BO_METHODS:
-        return search_episodes(scenario, config, method, etas, [(speed, rng)])
-    _check_etas(config, method, etas)
-    grid = scenario.grid
-    cell = _start_cell(grid, rng)
-    episode: list[SlotResult] = []
-    for t in range(1, config.total_slots + 1):
-        cell = mobility_step(cell, speed, grid, rng)
-        episode.append(track_slot(build_slot_env(scenario, cell), config, method, etas[0], rng,
-                                  slot_index=t))
-    if config.collect_timing:
-        # Every slot reports the episode's mean search time, one float object
-        # for all of them, as a chunk's lanes share one in `search_episodes`.
-        mean = sum(r.elapsed for r in episode) / len(episode)
-        episode = [SlotResult(r.slot_index, r.true_best_index, r.chosen_index, r.true_best_rsrp,
-                              r.achieved_rsrp, r.measurements_used, mean) for r in episode]
-    return [episode]
+    return search_episodes(scenario, config, method, etas, [(speed, rng)])

@@ -32,7 +32,7 @@ from ristrack.channel import (
 from ristrack.codebook import RisGeometry, ideal_phases, quantize_codeword
 from ristrack.config import ExperimentConfig
 from ristrack.surrogate import ObservationHistory, gp_fit, gp_posterior, kernel_tables, tpe_fit
-from ristrack.tracker import Method, run_episode
+from ristrack.tracker import Method, _GpLanes, _tpe_select, run_episode
 from ristrack.validate import best_by_enumeration, dense_gp_posterior, ei_by_quadrature
 
 from oracles import parzen_density, rsrp
@@ -131,6 +131,8 @@ def test_criterion_4_overhead_monotonicity(full_run):
 
 
 def test_criterion_5_gp_numerical_correctness():
+    """The per-slot model and a one-lane `_GpLanes`, the factor the search
+    runs on (mean, and theta1 * (1 - w_sq)), both against a dense solve."""
     rng = np.random.default_rng(101)
     tables = kernel_tables(10, 10)
     theta2 = ExperimentConfig().gp_length_scale
@@ -153,10 +155,19 @@ def test_criterion_5_gp_numerical_correctness():
         scale = max(1.0, float(np.max(np.abs(history.values()))))
         interp_ok &= bool(np.all(np.abs(mean_tr - history.values()) <= 1e-3 * scale))
         interp_ok &= bool(np.all(var_tr <= 10.0 * model.jitter))
+
+        lane = _GpLanes(1, n, tables)
+        for i in range(n):
+            lane.append(i, history.cells()[i:i + 1], history.values()[i:i + 1])
+        mean, var = lane.mean[0], model.theta1 * (1.0 - lane.w_sq[0])
+        worst = max(worst, float(np.max(np.abs(mean - mean_ref))),
+                    float(np.max(np.abs(var - var_ref))))
+        interp_ok &= bool(np.all(np.abs(mean[idx] - history.values()) <= 1e-3 * scale))
+        interp_ok &= bool(np.all(var[idx] <= 10.0 * model.jitter))
     ok = worst < 1e-8 and interp_ok
     report("criterion 5 (GP vs dense-solve oracle)", ok,
-           f"max |error| = {worst:.2e} over 100 instances; interpolation at "
-           f"jitter tolerance: {interp_ok}")
+           f"max |error| = {worst:.2e} over 100 instances, per-slot model and one-lane "
+           f"factor; interpolation at jitter tolerance: {interp_ok}")
 
 
 def test_criterion_6_ei_correctness():
@@ -181,12 +192,16 @@ def test_criterion_6_ei_correctness():
 
 
 def test_criterion_7_tpe_eq5_consistency():
+    """The per-slot pick (`tpe_fit`, `select_next`) and the lane pick
+    (`_tpe_select`, histories of one length stacked as lanes) against the
+    cdist Parzen oracle."""
     rng = np.random.default_rng(107)
     tables = kernel_tables(10, 10)
     idx_all = np.arange(100)
     candidates = np.stack([idx_all // 10, idx_all % 10], axis=1).astype(float)
     config = ExperimentConfig()
     mismatches = 0
+    by_length: dict[int, list] = {}
     for _ in range(1000):
         n = int(rng.integers(2, 60))
         idx = rng.choice(100, size=n, replace=False)
@@ -206,8 +221,19 @@ def test_criterion_7_tpe_eq5_consistency():
         oracle = candidates[keep][int(np.argmax(l / g))]
         if tuple(candidates[picked]) != tuple(oracle):
             mismatches += 1
-    report("criterion 7 (TPE selection = argmax l/g)", mismatches == 0,
-           f"{mismatches} mismatches in 1000 random histories")
+        by_length.setdefault(n, []).append((history.cells(), history.values(), oracle))
+    lane_mismatches = widest = 0
+    for group in by_length.values():
+        cells, y, oracle = (np.array(column) for column in zip(*group))
+        seen = np.zeros((len(group), 100), dtype=bool)
+        seen[np.arange(len(group))[:, None], cells] = True
+        picked = _tpe_select(y, cells, seen, tables.parzen, config.tpe_gamma)
+        lane_mismatches += int(np.count_nonzero((candidates[picked] != oracle).any(axis=1)))
+        widest = max(widest, len(group))
+    ok = mismatches == lane_mismatches == 0 and widest > 1
+    report("criterion 7 (TPE selection = argmax l/g)", ok,
+           f"{mismatches} per-slot and {lane_mismatches} lane mismatches in 1000 random "
+           f"histories, {len(by_length)} lane calls of up to {widest} lanes")
 
 
 def test_criterion_8_codebook_optimality_small_n():

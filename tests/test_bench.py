@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ristrack
-from ristrack import surrogate, tracker
+from ristrack import bench, surrogate, tracker
 from ristrack.bench import (
     MetricsRow,
     compute_metrics,
@@ -34,7 +34,7 @@ from ristrack.channel import ChannelModel, SceneConfig, Vec3
 from ristrack.codebook import GridMap, RisGeometry
 from ristrack.config import DEFAULT_CONFIG_TEXT, KEYS, ExperimentConfig, parse_config_text
 from ristrack.tracker import (BO_METHODS, Method, SlotResult, build_slot_env, run_episode,
-                              search_episodes, track_slot)
+                              search_episodes, shares_search, track_slot)
 
 from oracles import replay_cell
 
@@ -304,6 +304,28 @@ class TestSharedSearch:
         steps = (20 - 1) + (40 - 1) + (60 - 1) if noisy else 60 - 1
         assert lane_steps == {"gp_ei": slots * steps, "tpe_ei": slots * steps}
         assert fits == []
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("method", list(Method))
+def test_run_cell_makes_one_search_per_overhead_group(method, noisy, monkeypatch):
+    """Every method's episodes, at every speed, go through one
+    `search_episodes` call per overhead group: all the overheads when they
+    share a search, else one call per overhead."""
+    calls = []
+
+    def counted(scenario, config, method, etas, episodes):
+        calls.append((etas, len(episodes)))
+        return search(scenario, config, method, etas, episodes)
+
+    search = bench.search_episodes
+    monkeypatch.setattr(bench, "search_episodes", counted)
+    config = small_config(measure_with_noise=noisy)
+    found = run_cell(scenario_from_config(config), config, method, (0.2, 0.4), (1, 2))
+    episodes = 2 * config.epochs
+    groups = [(0.2, 0.4)] if shares_search(config, method) else [(0.2,), (0.4,)]
+    assert calls == [(group, episodes) for group in groups]
+    assert [[len(cell) for cell in by_speed] for by_speed in found] == [[6, 6]] * 2
 
 
 def test_benchmark_span_points_resolve():

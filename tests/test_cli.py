@@ -2,6 +2,7 @@
 and exit codes.  Commands run in-process via main(argv).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -86,16 +87,32 @@ def test_trace_command(tiny_config, tmp_path):
     assert len(trace) == 3  # header + total_slots lines
 
 
-@pytest.mark.parametrize("method", ["gp_ei", "tpe_ei"])
-def test_trace_is_the_matrix_episode(method, tmp_path):
+@pytest.mark.parametrize("method, noise_dbm", [("gp_ei", None), ("tpe_ei", None),
+                                               ("ergodic", None), ("random", None),
+                                               ("ergodic", -50.0)],
+                         ids=["gp_ei", "tpe_ei", "ergodic", "random", "ergodic-noisy"])
+def test_trace_is_the_matrix_episode(method, noise_dbm, tmp_path):
     """`ristrack trace` and `ristrack run` take one route: the traced episode
-    is byte for byte the same episode cut from the matrix."""
-    assert main(["trace", "--out", str(tmp_path), "--method", method, "--overhead", "0.4",
-                 "--speed", "2", "--epoch", "3"]) == 0
-    config = ExperimentConfig(methods=(Method(method),), epochs=5, collect_timing=False)
-    cell = run_matrix(config)[(Method(method), 0.4, 2)]
-    episode = cell[3 * config.total_slots:4 * config.total_slots]
-    emit_trace(episode, tmp_path / "from_matrix.csv", grid=config.grid)
+    is byte for byte the same episode cut from the matrix, for every method
+    (the sweep's cell is overhead 1.0, whatever --overhead says), and with
+    noise at -50 dBm, where it moves the sweep's picks."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("" if noise_dbm is None
+                   else f"noise_power_dbm = {noise_dbm}\nmeasure_with_noise = true\n")
+    assert main(["trace", "--config", str(cfg), "--out", str(tmp_path), "--method", method,
+                 "--overhead", "0.4", "--speed", "2", "--epoch", "3"]) == 0
+    loaded = load_config(cfg)
+
+    def matrix_episode(noisy):
+        config = dataclasses.replace(loaded, methods=(Method(method),), epochs=5,
+                                     collect_timing=False, measure_with_noise=noisy)
+        cell = run_matrix(config)[(Method(method), 1.0 if method == "ergodic" else 0.4, 2)]
+        return cell[3 * config.total_slots:4 * config.total_slots]
+
+    episode = matrix_episode(loaded.measure_with_noise)
+    if noise_dbm is not None:
+        assert episode != matrix_episode(False)
+    emit_trace(episode, tmp_path / "from_matrix.csv", grid=loaded.grid)
     traced = tmp_path / f"trace_{method}_eta0.4_s2.csv"
     assert traced.read_bytes() == (tmp_path / "from_matrix.csv").read_bytes()
 

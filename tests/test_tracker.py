@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ristrack import tracker
 
-from ristrack.bench import episode_rng, scenario_from_config
+from ristrack.bench import episode_rng, run_cell, scenario_from_config
 from ristrack.channel import (
     SceneConfig,
     Vec3,
@@ -476,8 +476,9 @@ class TestRunEpisode:
                                                             monkeypatch):
         """Every slot of a timed slot-by-slot episode (the sweep and random
         search) reports one float object: the mean of its slots' search
-        times."""
-        config = ExperimentConfig(collect_timing=True)
+        times.  One episode comes from `run_episode`, then six, three at
+        each of two speeds, from one `run_cell`: each has its own object."""
+        config = ExperimentConfig(collect_timing=True, epochs=3)
         if setting:
             config = dataclasses.replace(config, **{setting: True})
         spent = []
@@ -488,17 +489,27 @@ class TestRunEpisode:
             spent.append(result.elapsed)
             return result
 
-        monkeypatch.setattr(tracker, "track_slot", timed)
-        (episode,) = run_episode(scenario, config, method, (0.4,), 2, np.random.default_rng(3))
-        assert len(spent) == len(episode) == 12
-        assert len({id(r.elapsed) for r in episode}) == 1
-        assert episode[0].elapsed == sum(spent) / 12 >= 0.0
+        def check(episodes):
+            assert len(spent) == 12 * len(episodes)
+            for k, episode in enumerate(episodes):
+                assert len(episode) == 12 and len({id(r.elapsed) for r in episode}) == 1
+                assert episode[0].elapsed == sum(spent[12 * k:12 * k + 12]) / 12 >= 0.0
+            assert len({id(r.elapsed) for e in episodes for r in e}) == len(episodes)
+            spent.clear()
 
-    @pytest.mark.parametrize("method", [Method.GP_EI, Method.TPE_EI])
+        monkeypatch.setattr(tracker, "track_slot", timed)
+        check(run_episode(scenario, config, method, (0.4,), 2, np.random.default_rng(3)))
+        (by_speed,) = run_cell(scenario, config, method, (0.4,), (1, 2))
+        results = [r for cell in by_speed for r in cell]
+        check([results[lo:lo + 12] for lo in range(0, len(results), 12)])
+
+    @pytest.mark.parametrize("method", list(Method))
     def test_one_call_per_slot_and_per_step(self, method, monkeypatch):
         """Per slot one mobility_step, and one ris_ue_channel per cell the
         episode visits first: a fresh scenario builds each cell's row once.
-        No BO episode makes a build_slot_env or track_slot call.  A
+        A sweep or random episode, noise-free or noisy, makes one
+        build_slot_env and one track_slot call per slot and no search_lanes
+        call.  No BO episode makes a build_slot_env or track_slot call.  A
         warm-start episode searches slot after slot, each a search of one
         lane with budget - 1 lane-steps, and on the GP path one
         expected_improvement per step.  A cold-start episode searches all
@@ -549,6 +560,13 @@ class TestRunEpisode:
                         rng=np.random.default_rng(41))
             return {"mobility_step": 3, "ris_ue_channel": len(visited)}
 
+        if method not in tracker.BO_METHODS:
+            for noisy in (False, True):
+                want = run(dataclasses.replace(CONFIG, total_slots=3, measure_with_noise=noisy),
+                           (0.2,))
+                want.update(build_slot_env=3, track_slot=3)
+                assert counts == want and lane_steps == [], noisy
+            return
         warm = dataclasses.replace(CONFIG, total_slots=3, warm_start=True)
         want = run(warm, (0.2,))
         steps = slot_budget(method, 0.2, 100) - 1
